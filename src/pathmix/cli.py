@@ -53,7 +53,7 @@ def _sub_seed(base: int, method: str, run_index: int) -> int:
 
 def _gt_clips(scenario: Scenario, base_seed: int) -> np.ndarray:
     """Class-balanced ground truth: half the clips from each condition."""
-    model = scenario.build_model()
+    model = scenario.model
     half = scenario.eval_n_clips // 2
     c0 = sample_clips(model, Condition.SOURCE, half, base_seed + 1)
     c1 = sample_clips(model, Condition.TARGET, scenario.eval_n_clips - half,
@@ -126,11 +126,15 @@ def _parse_sweep(spec: str):
     if key not in SWEEP_KEYS:
         raise ScenarioError(
             f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
+    kind = int if key in ("J", "K") else float
     parsed = []
     for token in values.split(","):
-        parsed.append(int(token) if key in ("J", "K") else float(token))
-    if not parsed:
-        raise ScenarioError("sweep needs at least one value")
+        try:
+            parsed.append(kind(token))
+        except ValueError:
+            raise ScenarioError(
+                f"sweep {key} needs {kind.__name__} values, got {token!r}"
+            ) from None
     return key, parsed
 
 

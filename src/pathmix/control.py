@@ -31,6 +31,9 @@ class ControlConfig:
     sigmoid_sharpness: float = 10.0
 
     def __post_init__(self):
+        for name in ("terminal_weight", "sigmoid_sharpness"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidConfigError(f"{name} must be finite")
         if self.terminal_weight < 0:
             raise InvalidConfigError("terminal_weight must be >= 0")
         if self.lambda_mode not in ("posterior", "unit"):
@@ -224,24 +227,32 @@ def stitch_cost_aligned_gradient(mixed: np.ndarray, directions: np.ndarray,
     ``directions[k]`` is d mixed_k / d omega_k (the target-source difference).
     Root-alignment offsets accumulate along segments, so earlier omegas leak
     into later segments through the root channel; the offset derivatives are
-    tracked explicitly.
+    tracked explicitly.  Leading axes of ``mixed`` before (K, S, C) index
+    independent stacks sharing ``directions``.
     """
-    K, S, _ = mixed.shape
+    K, S, C = mixed.shape[-3:]
     half = S // 2
     aligned = align_root(mixed, root_channel)
-    # offset_grads[k, j] = d offset_k / d omega_j
-    offset_grads = np.zeros((K, K))
-    for k in range(K - 1):
-        offset_grads[k + 1] = offset_grads[k]
-        offset_grads[k + 1, k] += directions[k, S - 1, root_channel]
-        offset_grads[k + 1, k + 1] -= directions[k + 1, 0, root_channel]
-    grad = np.zeros(K)
-    for k in range(K - 1):
-        resid = aligned[k + 1, :half] - aligned[k, half:]
-        grad[k + 1] += 2.0 * np.sum(resid * directions[k + 1, :half])
-        grad[k] -= 2.0 * np.sum(resid * directions[k, half:])
-        grad += (2.0 * np.sum(resid[:, root_channel])
-                 * (offset_grads[k + 1] - offset_grads[k]))
+    resid = aligned[..., 1:, :half, :] - aligned[..., :-1, half:, :]
+    rows = resid.shape[:-2] + (half * C,)       # overlap k | k+1 per row
+    into_next = 2.0 * np.sum((resid * directions[1:, :half]).reshape(rows),
+                             axis=-1)
+    out_of_prev = 2.0 * np.sum((resid * directions[:-1, half:]).reshape(rows),
+                               axis=-1)
+    root_resid = 2.0 * np.sum(resid[..., root_channel], axis=-1)
+    # offset_k = sum_{j<k} (last root of aligned j - first root of j+1), so
+    # d offset_k / d omega_j is last_j - first_j for 0 < j < k, last_0 for
+    # j = 0 and -first_k for j = k.  ``own`` is d offset_k / d omega_k; the
+    # differences keep the rounding of the running sums they stand for.
+    first = directions[:, 0, root_channel]
+    last = directions[:, S - 1, root_channel]
+    own = np.concatenate(([0.0], 0.0 - first[1:]))
+    d_own = (own[:-1] + last[:-1]) - own[:-1]  # offset_{k+1} - offset_k, omega_k
+    grad = np.zeros(mixed.shape[:-2])
+    grad[..., 1:] += into_next
+    grad[..., 1:] += root_resid * own[1:]
+    grad[..., :-1] -= out_of_prev
+    grad[..., :-1] += root_resid * d_own
     return grad
 
 

@@ -11,14 +11,35 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidConfigError, NumericError
 from .schedules import NoiseSchedule
 
 VARIANCE_FLOOR = 1e-8
+
+
+def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False):
+    """log(sum(exp(a))) along ``axis`` with scipy.special.logsumexp's arithmetic.
+
+    The maxima are split out of the sum, the other terms are summed as
+    exp(a - max) and divided by the number of maxima m, and the result is
+    log1p(s) + log(m) + max; non-finite results fall back to the direct
+    formula.  Matching that order bit for bit keeps sampled outputs identical.
+    """
+    a_max = np.max(a, axis=axis, keepdims=True)
+    is_max = a == a_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis,
+                   keepdims=True)
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=np.float64)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        if not np.all(np.isfinite(out)):
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(np.isfinite(out), out, direct)
+    return out if keepdims else out.squeeze(axis)[()]
 
 
 class Condition(enum.Enum):
@@ -76,6 +97,11 @@ class ConditionModel:
             return self.source
         if cond is Condition.TARGET:
             return self.target
+        return self.null
+
+    @cached_property
+    def null(self) -> GaussianMixture:
+        """The prior-weighted union of both mixtures, built on first use."""
         p0 = self.source_prior
         return GaussianMixture(
             np.concatenate([p0 * self.source.weights,

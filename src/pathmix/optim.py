@@ -32,6 +32,9 @@ class OptimizerConfig:
     warm_start: bool = True
 
     def __post_init__(self):
+        for name in ("lr", "adam_beta1", "adam_beta2", "adam_eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidConfigError(f"{name} must be finite")
         if self.steps < 0:
             raise InvalidConfigError("steps must be >= 0")
         if self.lr <= 0:
@@ -64,13 +67,10 @@ class AdamState:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Overflow-safe logistic function: 1 / (1 + e^-z) for z >= 0 and
+    e^z / (1 + e^z) below, both from e = exp(-|z|) <= 1."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_deriv(z: np.ndarray) -> np.ndarray:
@@ -107,8 +107,8 @@ class _QuadraticEnergy:
     """Exact quadratic model of the per-step control energy over interior omega.
 
     Built from the analytic per-segment transient coefficients and from
-    terminal-gradient evaluations at the interior basis points (exact because
-    the terminal cost is quadratic in omega).
+    terminal-gradient evaluations at the interior basis points, batched into
+    one call (exact because the terminal cost is quadratic in omega).
     """
 
     def __init__(self, preds: SegmentPredictions, t: int,
@@ -119,45 +119,31 @@ class _QuadraticEnergy:
         self.w_T = control_config.terminal_weight
         self.q2, self.q1, self.q0 = transient_coefficients(
             preds, t, control_config, schedule)
-        self._preds = preds
-        self._root = root_channel
         n = K - 2
-        dirs = preds.target - preds.source
-        base = self._omega(np.zeros(n))
-
-        def phi_value(omega):
-            mixed = self._mixed(omega)
-            return stitch_cost(align_root(mixed, root_channel))
-
-        def phi_grad(omega):
-            mixed = self._mixed(omega)
-            return stitch_cost_aligned_gradient(mixed, dirs, root_channel)[1:K - 1]
-
-        self.phi_const = phi_value(base)
-        g0 = phi_grad(base)
-        hess = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            hess[:, j] = phi_grad(self._omega(e)) - g0
-        self.phi_grad0 = g0
-        self.phi_hess = hess
+        # row 0: interior omega 0; row j + 1: the j-th interior basis vector
+        basis = np.vstack([np.zeros(n), np.eye(n)])
+        w = np.stack([self._omega(u) for u in basis])[:, :, None, None]
+        mixed = (1.0 - w) * preds.source + w * preds.target
+        self.phi_const = stitch_cost(align_root(mixed[0], root_channel))
+        grads = stitch_cost_aligned_gradient(
+            mixed, preds.target - preds.source, root_channel)[:, 1:K - 1]
+        self.phi_grad0 = grads[0]
+        # C order: the summation order of phi_hess @ u depends on the layout
+        self.phi_hess = np.ascontiguousarray((grads[1:] - grads[0]).T)
 
     def _omega(self, u: np.ndarray) -> np.ndarray:
         return np.concatenate([[0.0], u, [1.0]])
 
-    def _mixed(self, omega: np.ndarray) -> np.ndarray:
-        w = omega[:, None, None]
-        return (1.0 - w) * self._preds.source + w * self._preds.target
-
-    def breakdown(self, u: np.ndarray) -> EnergyBreakdown:
+    def breakdown(self, u: np.ndarray) -> tuple[np.ndarray, EnergyBreakdown]:
+        """The full omega of interior values ``u`` and its energy."""
         omega = self._omega(u)
         per_seg = self.q2 * omega ** 2 + self.q1 * omega + self.q0
         transient = float(per_seg.sum())
         phi = (self.phi_const + self.phi_grad0 @ u
                + 0.5 * u @ (self.phi_hess @ u))
         terminal = self.w_T * phi
-        return EnergyBreakdown(transient, terminal, transient + terminal, per_seg)
+        return omega, EnergyBreakdown(transient, terminal, transient + terminal,
+                                      per_seg)
 
     def grad_interior(self, u: np.ndarray) -> np.ndarray:
         g = 2.0 * self.q2[1:self.K - 1] * u + self.q1[1:self.K - 1]
@@ -212,18 +198,18 @@ def optimize_mixing(preds: SegmentPredictions, x_t_segments: np.ndarray,
     best = None
     for j in range(opt_config.steps + 1):
         u = sigmoid(state.z)
-        energy = quad.breakdown(u)
+        omega, energy = quad.breakdown(u)
         if not np.isfinite(energy.total):
             raise NumericError(f"non-finite energy at t={t}, inner step {j}")
-        trace.append((omega_of_latent(state.z), energy))
-        if best is None or energy.total < best[1].total:
-            best = (state.z.copy(), energy)
+        trace.append((omega, energy))
+        # adam_update returns a new latent, so the iterate needs no copy
+        if best is None or energy.total < best[2].total:
+            best = (state.z, omega, energy)
         if j == opt_config.steps:
             break
-        grad = quad.grad_interior(u) * sigmoid_deriv(state.z)
+        grad = quad.grad_interior(u) * (u * (1.0 - u))
         state = adam_update(state, grad, opt_config)
-    z_best, _ = best
-    return MixingSchedule(z_best, omega_of_latent(z_best), trace)
+    return MixingSchedule(best[0], best[1], trace)
 
 
 def closed_form_oracle(preds: SegmentPredictions, x_t_segments: np.ndarray,

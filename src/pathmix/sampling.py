@@ -72,9 +72,9 @@ def initial_segment_noise(layout: SegmentLayout, seed: int) -> np.ndarray:
 def _run(scenario, seed: int, optimize: bool, kind: str | None) -> RunResult:
     start = time.perf_counter()
     layout: SegmentLayout = scenario.layout
-    schedule = scenario.build_schedule()
-    plan = scenario.build_plan(schedule)
-    model: ConditionModel = scenario.build_model()
+    schedule = scenario.schedule
+    plan = scenario.plan
+    model: ConditionModel = scenario.model
     opt_cfg: OptimizerConfig = scenario.optimizer
     ctl_cfg: ControlConfig = scenario.control
     root = layout.root_channel

@@ -12,6 +12,7 @@ import datetime
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,10 @@ class Scenario:
     eval_n_pairs: int = 2000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+
     def build_schedule(self) -> NoiseSchedule:
         return build_cosine_schedule(self.total_steps)
 
@@ -63,6 +68,19 @@ class Scenario:
         spec = dict(self.domains)
         spec["S"], spec["C"] = self.layout.S, self.layout.C
         return make_condition_model(spec)
+
+    # Built once per scenario and shared by all of its runs.
+    @cached_property
+    def schedule(self) -> NoiseSchedule:
+        return self.build_schedule()
+
+    @cached_property
+    def plan(self) -> TimestepPlan:
+        return self.build_plan(self.schedule)
+
+    @cached_property
+    def model(self) -> ConditionModel:
+        return self.build_model()
 
     def to_dict(self) -> dict:
         return {

@@ -6,6 +6,8 @@ Consecutive segments overlap by S/2 frames in the assembled timeline.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidConfigError
@@ -26,26 +28,35 @@ def hard_stitch_project(segments: np.ndarray) -> np.ndarray:
     _check_stack(segments)
     out = segments.copy()
     half = segments.shape[1] // 2
-    for k in range(len(out) - 1):
-        out[k + 1, :half] = out[k, half:]
+    out[1:, :half] = segments[:-1, half:]
     return out
 
 
 def align_root(segments: np.ndarray, root_channel: int = 0) -> np.ndarray:
     """Shift each segment's root channel to continue from its predecessor.
 
-    For k ascending, a constant offset (last root value of segment k minus
-    first root value of segment k+1) is added to every frame of segment k+1's
-    root channel; other channels are untouched.
+    For k ascending, a constant offset (last root value of the shifted
+    segment k minus first root value of segment k+1) is added to every frame
+    of segment k+1's root channel; other channels are untouched.  Leading
+    axes before (K, S, C) index independent stacks.
     """
-    if segments.ndim != 3:
+    if segments.ndim < 3:
         raise ValueError(f"expected (K, S, C) stack, got shape {segments.shape}")
-    if not 0 <= root_channel < segments.shape[2]:
+    if not 0 <= root_channel < segments.shape[-1]:
         raise InvalidConfigError(f"root channel {root_channel} out of range")
     out = segments.copy()
-    for k in range(len(out) - 1):
-        offset = out[k, -1, root_channel] - out[k + 1, 0, root_channel]
-        out[k + 1, :, root_channel] += offset
+    lead, K = segments.shape[:-3], segments.shape[-3]
+    rows = (math.prod(lead), K - 1)
+    firsts = segments[..., 1:, 0, root_channel].reshape(rows).tolist()
+    lasts = segments[..., :-1, -1, root_channel].reshape(rows).tolist()
+    offsets = []
+    for stack_lasts, stack_firsts in zip(lasts, firsts):
+        row = []   # offset of segment k+1; segment 0 is not shifted
+        for last, first in zip(stack_lasts, stack_firsts):
+            shifted_last = last + row[-1] if row else last
+            row.append(shifted_last - first)
+        offsets.append(row)
+    out[..., 1:, :, root_channel] += np.reshape(offsets, lead + (K - 1, 1))
     return out
 
 

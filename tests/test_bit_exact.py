@@ -1,0 +1,198 @@
+"""Bit-exactness of the vectorized kernels against their loop definitions.
+
+The sampler amplifies a 1-ulp change in these kernels to differences of
+order 1e-4 in its outputs, so the vectorized forms must reproduce the
+loops' order of arithmetic exactly: every comparison here is
+``np.array_equal``, not a tolerance.  The loop versions below are the
+definitions the kernels were written from, kept as oracles.
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp as scipy_logsumexp
+
+from pathmix import ControlConfig, SegmentPredictions, build_cosine_schedule
+from pathmix.control import stitch_cost, stitch_cost_aligned_gradient
+from pathmix.mixtures import logsumexp
+from pathmix.optim import _QuadraticEnergy, sigmoid
+from pathmix.segments import align_root, hard_stitch_project
+
+SHAPES = [(2, 2, 1, 0), (3, 16, 4, 0), (4, 16, 4, 2), (7, 10, 3, 1),
+          (16, 16, 4, 0), (5, 40, 6, 5), (12, 4, 2, 1)]
+
+
+def loop_hard_stitch_project(segments):
+    out = segments.copy()
+    half = segments.shape[1] // 2
+    for k in range(len(out) - 1):
+        out[k + 1, :half] = out[k, half:]
+    return out
+
+
+def loop_align_root(segments, root_channel=0):
+    out = segments.copy()
+    for k in range(len(out) - 1):
+        offset = out[k, -1, root_channel] - out[k + 1, 0, root_channel]
+        out[k + 1, :, root_channel] += offset
+    return out
+
+
+def loop_stitch_cost_aligned_gradient(mixed, directions, root_channel=0):
+    K, S, _ = mixed.shape
+    half = S // 2
+    aligned = loop_align_root(mixed, root_channel)
+    offset_grads = np.zeros((K, K))
+    for k in range(K - 1):
+        offset_grads[k + 1] = offset_grads[k]
+        offset_grads[k + 1, k] += directions[k, S - 1, root_channel]
+        offset_grads[k + 1, k + 1] -= directions[k + 1, 0, root_channel]
+    grad = np.zeros(K)
+    for k in range(K - 1):
+        resid = aligned[k + 1, :half] - aligned[k, half:]
+        grad[k + 1] += 2.0 * np.sum(resid * directions[k + 1, :half])
+        grad[k] -= 2.0 * np.sum(resid * directions[k, half:])
+        grad += (2.0 * np.sum(resid[:, root_channel])
+                 * (offset_grads[k + 1] - offset_grads[k]))
+    return grad
+
+
+def loop_sigmoid(z):
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def loop_terminal_model(preds, root_channel):
+    """(phi_const, phi_grad0, phi_hess) from one gradient call per column."""
+    K = preds.num_segments
+    n = K - 2
+    dirs = preds.target - preds.source
+
+    def mixed(u):
+        w = np.concatenate([[0.0], u, [1.0]])[:, None, None]
+        return (1.0 - w) * preds.source + w * preds.target
+
+    def grad(u):
+        return loop_stitch_cost_aligned_gradient(
+            mixed(u), dirs, root_channel)[1:K - 1]
+
+    g0 = grad(np.zeros(n))
+    hess = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        hess[:, j] = grad(e) - g0
+    const = stitch_cost(loop_align_root(mixed(np.zeros(n)), root_channel))
+    return const, g0, hess
+
+
+def random_stacks(rng, lead, K, S, C, scale):
+    source = rng.normal(size=lead + (K, S, C))
+    target = scale * rng.normal(size=lead + (K, S, C))
+    omega = np.concatenate([np.zeros(lead + (1,)),
+                            rng.uniform(size=lead + (K - 2,)),
+                            np.ones(lead + (1,))], axis=-1)
+    w = omega[..., None, None]
+    return (1.0 - w) * source + w * target, target - source
+
+
+@pytest.mark.parametrize("K,S,C,root", SHAPES)
+class TestSegmentKernels:
+    def test_hard_stitch_project(self, rng, K, S, C, root):
+        for scale in (1.0, 1e-3, 1e6):
+            x = scale * rng.normal(size=(K, S, C))
+            assert np.array_equal(hard_stitch_project(x),
+                                  loop_hard_stitch_project(x))
+
+    def test_align_root(self, rng, K, S, C, root):
+        for scale in (1.0, 1e-3, 1e6):
+            x = scale * rng.normal(size=(K, S, C))
+            assert np.array_equal(align_root(x, root),
+                                  loop_align_root(x, root))
+
+    def test_align_root_batched(self, rng, K, S, C, root):
+        x = rng.normal(size=(2, 3, K, S, C))
+        want = np.stack([[loop_align_root(s, root) for s in row] for row in x])
+        assert np.array_equal(align_root(x, root), want)
+
+    def test_stitch_cost_aligned_gradient(self, rng, K, S, C, root):
+        for scale in (1.0, 1e-3, 1e6):
+            mixed, dirs = random_stacks(rng, (), K, S, C, scale)
+            assert np.array_equal(
+                stitch_cost_aligned_gradient(mixed, dirs, root),
+                loop_stitch_cost_aligned_gradient(mixed, dirs, root))
+
+    def test_stitch_cost_aligned_gradient_batched(self, rng, K, S, C, root):
+        mixed, dirs = random_stacks(rng, (5,), K, S, C, 1.0)
+        dirs = dirs[0]
+        want = np.stack([loop_stitch_cost_aligned_gradient(m, dirs, root)
+                         for m in mixed])
+        assert np.array_equal(stitch_cost_aligned_gradient(mixed, dirs, root),
+                              want)
+
+
+@pytest.mark.parametrize("K,S,C,root", [s for s in SHAPES if s[0] >= 3])
+def test_terminal_model_matches_per_column_build(rng, K, S, C, root):
+    preds = SegmentPredictions(rng.normal(size=(K, S, C)),
+                               rng.normal(size=(K, S, C)),
+                               rng.normal(size=(K, S, C)))
+    quad = _QuadraticEnergy(preds, 500, ControlConfig(),
+                            build_cosine_schedule(1000), root)
+    const, g0, hess = loop_terminal_model(preds, root)
+    assert quad.phi_const == const
+    assert np.array_equal(quad.phi_grad0, g0)
+    assert np.array_equal(quad.phi_hess, hess)
+    u = rng.uniform(size=K - 2)
+    assert np.array_equal(quad.phi_hess @ u, hess @ u)
+
+
+def test_sigmoid_matches_masked_form(rng):
+    z = np.concatenate([rng.normal(scale=s, size=50) for s in (0.1, 3, 40)]
+                       + [[0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300]])
+    assert np.array_equal(sigmoid(z), loop_sigmoid(z))
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("shape", [(1,), (5,), (4, 2), (3, 16),
+                                       (2, 3, 7), (50, 4, 32)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_matches_scipy(self, rng, shape, keepdims):
+        for scale in (1.0, 40.0, 800.0):
+            a = scale * rng.normal(size=shape)
+            got = logsumexp(a, axis=-1, keepdims=keepdims)
+            want = scipy_logsumexp(a, axis=-1, keepdims=keepdims)
+            assert np.array_equal(got, want)
+            assert np.shape(got) == np.shape(want)
+
+    def test_tied_maxima(self, rng):
+        a = rng.normal(size=(6, 5))
+        a[:, 1] = a[:, 3] = a.max(axis=-1) + 1.0
+        a[0] = 2.5
+        assert np.array_equal(logsumexp(a, axis=-1), scipy_logsumexp(a, axis=-1))
+
+    def test_negative_infinity(self, rng):
+        a = rng.normal(size=(4, 6))
+        a[:, 2] = -np.inf
+        a[1] = -np.inf
+        a[3, 1:] = -np.inf
+        got = logsumexp(a, axis=-1, keepdims=True)
+        assert np.array_equal(got, scipy_logsumexp(a, axis=-1, keepdims=True))
+        assert got[1, 0] == -np.inf
+
+    def test_scalar_result_type(self, rng):
+        a = rng.normal(size=7)
+        got, want = logsumexp(a), scipy_logsumexp(a, axis=-1)
+        assert type(got) is type(want) and got == want
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, pathmix.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

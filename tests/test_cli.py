@@ -45,6 +45,27 @@ class TestGenerate:
                      "--method", "mdpa", "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_negative_seed_flag_exits_2(self, fast_scenario_path, tmp_path,
+                                        capsys):
+        code = main(["generate", "--scenario", str(fast_scenario_path),
+                     "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("seed", None, -1), ("control", "w_T", float("nan")),
+        ("optimizer", "lr", float("inf"))])
+    def test_invalid_value_rejected_at_load(self, tmp_path, capsys, section,
+                                            key, value):
+        raw = {section: value if key is None else {key: value}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["generate", "--scenario", str(bad), "--method", "mdpa",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_scenario_content_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"layout": {"K": 1}}))
@@ -111,6 +132,21 @@ class TestSweep:
         code = main(["sweep", "--scenario", str(fast_scenario_path),
                      "--sweep", "banana=1,2", "--out", str(tmp_path / "s")])
         assert code == 2
+
+    def test_empty_value_exits_2(self, fast_scenario_path, tmp_path, capsys):
+        code = main(["sweep", "--scenario", str(fast_scenario_path),
+                     "--sweep", "w_T=", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "w_T" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_fractional_step_count_exits_2(self, fast_scenario_path, tmp_path,
+                                           capsys):
+        code = main(["sweep", "--scenario", str(fast_scenario_path),
+                     "--sweep", "J=1.5", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "J" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestCheck:

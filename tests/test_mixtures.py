@@ -54,6 +54,10 @@ class TestConstruction:
         np.testing.assert_array_equal(null.means[0], model.source.means[0])
         np.testing.assert_array_equal(null.means[1], model.target.means[0])
 
+    def test_null_mixture_built_once(self):
+        model = make_condition_model({"S": 8, "C": 2})
+        assert model.mixture(Condition.NULL) is model.mixture(Condition.NULL)
+
 
 class TestPredictX0:
     def test_degenerate_variance_returns_mean(self, schedule, rng):

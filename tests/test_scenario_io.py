@@ -47,6 +47,29 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError):
             scenario_from_dict({"layout": {"S": 15}})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ScenarioError, match="seed"):
+            scenario_from_dict({"seed": -1})
+
+    @pytest.mark.parametrize("section,key,field", [
+        ("control", "w_T", "terminal_weight"),
+        ("control", "sigmoid_sharpness", "sigmoid_sharpness"),
+        ("optimizer", "lr", "lr")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_floats_rejected(self, section, key, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            scenario_from_dict({section: {key: value}})
+
+    def test_runs_share_one_schedule_plan_and_model(self):
+        sc = scenario_from_dict({"schedule": {"N": 4}})
+        assert sc.schedule is sc.schedule and sc.model is sc.model
+        assert sc.plan is sc.plan
+        np.testing.assert_array_equal(sc.schedule.alpha_bar,
+                                      sc.build_schedule().alpha_bar)
+        np.testing.assert_array_equal(sc.plan.steps,
+                                      sc.build_plan(sc.schedule).steps)
+
     def test_fingerprint_round_trip(self, tmp_path):
         sc = scenario_from_dict({"seed": 9, "control": {"w_T": 2.5}})
         path = tmp_path / "rt.json"
