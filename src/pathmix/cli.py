@@ -19,9 +19,8 @@ from .errors import InvalidConfigError, NumericError, ScenarioError
 from .metrics import evaluate
 from .mixtures import Condition, sample_clips
 from .sampling import BASELINE_KINDS, baseline_sample, optimized_sample
-from .scenario import (DEFAULTS, METHOD_ORDER, Scenario, _fmt,
-                       export_comparison_table, load_scenario,
-                       scenario_from_dict, write_run)
+from .scenario import (METHOD_ORDER, Scenario, _fmt, export_comparison_table,
+                       load_scenario, scenario_from_dict, write_run)
 from .segments import slice_windows
 
 METHODS = ("mdpa",) + BASELINE_KINDS

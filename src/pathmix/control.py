@@ -1,11 +1,11 @@
-"""Guidance mixing, control energies and their exact omega-gradients.
+"""Guidance mixing and per-step control energies.
 
 The per-step objective penalizes deviation of the mixed prediction from the
 unconditional one (transient term, weighted by lambda_t) plus a terminal
 stitching cost on the overlap regions of root-aligned mixed clean-signal
 estimates.  With predictions held fixed the objective is exactly quadratic in
-the segment mixing vector omega, which this module exploits for analytic
-gradients and a closed-form test oracle.
+the segment mixing vector omega; this module supplies the direct energy
+evaluator and the terms the optimizer's quadratic model is built from.
 """
 
 from __future__ import annotations
@@ -68,6 +68,14 @@ class SegmentPredictions:
     def num_segments(self) -> int:
         return self.source.shape[0]
 
+    def mixed(self, omega: np.ndarray) -> np.ndarray:
+        """Mixed prediction stacks, (..., K, S, C), of mixing vectors (..., K)."""
+        return _mix(self.source, self.target, omega[..., None, None])
+
+
+def _mix(pred_c0, pred_c1, w):
+    return (1.0 - w) * pred_c0 + w * pred_c1
+
 
 def mix_predictions(pred_c0: np.ndarray, pred_c1: np.ndarray,
                     omega: float) -> np.ndarray:
@@ -76,7 +84,7 @@ def mix_predictions(pred_c0: np.ndarray, pred_c1: np.ndarray,
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
     if pred_c0.shape != pred_c1.shape:
         raise ValueError("prediction shapes differ")
-    return (1.0 - omega) * pred_c0 + omega * pred_c1
+    return _mix(pred_c0, pred_c1, omega)
 
 
 def guidance_delta(x_t: np.ndarray, mixed_x0: np.ndarray, uncond_x0: np.ndarray,
@@ -161,18 +169,6 @@ def heuristic_omega(kind: str, K: int, sharpness: float = 10.0) -> np.ndarray:
     raise InvalidConfigError(f"unknown schedule kind {kind!r}")
 
 
-def _mixed_stack(preds: SegmentPredictions, omega: np.ndarray) -> np.ndarray:
-    w = omega[:, None, None]
-    return (1.0 - w) * preds.source + w * preds.target
-
-
-def _check_pins(omega: np.ndarray, K: int):
-    if omega.shape != (K,):
-        raise ValueError(f"omega must have length {K}")
-    if omega[0] != 0.0 or omega[-1] != 1.0:
-        raise ValueError("omega boundaries must be pinned to 0 and 1 exactly")
-
-
 def control_energy(x_t_segments: np.ndarray, preds: SegmentPredictions,
                    omega: np.ndarray, t: int, config: ControlConfig,
                    schedule: NoiseSchedule,
@@ -185,12 +181,15 @@ def control_energy(x_t_segments: np.ndarray, preds: SegmentPredictions,
     delta depends on the prediction difference alone.
     """
     K = preds.num_segments
-    _check_pins(omega, K)
+    if omega.shape != (K,):
+        raise ValueError(f"omega must have length {K}")
+    if omega[0] != 0.0 or omega[-1] != 1.0:
+        raise ValueError("omega boundaries must be pinned to 0 and 1 exactly")
     if x_t_segments.shape != preds.source.shape:
         raise ValueError("x_t stack shape differs from predictions")
     lam = lambda_weight(t, schedule, config.lambda_mode)
     c2 = _delta_coeff(t, schedule) ** 2
-    mixed = _mixed_stack(preds, omega)
+    mixed = preds.mixed(omega)
     per_seg = lam * c2 * np.sum((preds.uncond - mixed) ** 2, axis=(1, 2))
     transient = float(per_seg.sum())
     terminal = config.terminal_weight * stitch_cost(
@@ -198,12 +197,13 @@ def control_energy(x_t_segments: np.ndarray, preds: SegmentPredictions,
     return EnergyBreakdown(transient, terminal, transient + terminal, per_seg)
 
 
-# -- analytic omega-gradients ------------------------------------------------
+# -- quadratic structure -----------------------------------------------------
 #
 # With predictions fixed, mixed_k = source_k + omega_k * (target_k - source_k)
 # is affine in omega, root alignment adds offsets that are affine in omega,
-# and both energy terms are quadratic forms.  The helpers below compute the
-# exact gradient of each term with respect to the full omega vector.
+# and both energy terms are quadratic forms.  The helpers below give the
+# transient coefficients and the exact terminal gradient over the full omega
+# vector, from which ``optim`` builds its per-step energy model.
 
 
 def transient_coefficients(preds: SegmentPredictions, t: int,
@@ -255,19 +255,3 @@ def stitch_cost_aligned_gradient(mixed: np.ndarray, directions: np.ndarray,
     grad[..., :-1] += root_resid * d_own
     return grad
 
-
-def control_energy_omega_gradient(preds: SegmentPredictions, omega: np.ndarray,
-                                  t: int, config: ControlConfig,
-                                  schedule: NoiseSchedule,
-                                  root_channel: int = 0) -> np.ndarray:
-    """Exact gradient of the total control energy with respect to omega."""
-    K = preds.num_segments
-    if omega.shape != (K,):
-        raise ValueError(f"omega must have length {K}")
-    q2, q1, _ = transient_coefficients(preds, t, config, schedule)
-    grad = 2.0 * q2 * omega + q1
-    if config.terminal_weight > 0.0:
-        mixed = _mixed_stack(preds, omega)
-        grad = grad + config.terminal_weight * stitch_cost_aligned_gradient(
-            mixed, preds.target - preds.source, root_channel)
-    return grad

@@ -10,6 +10,7 @@ model is the prior-weighted union of the two conditional mixtures.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,7 +60,7 @@ class GaussianMixture:
     def __post_init__(self):
         if self.weights.ndim != 1 or len(self.weights) == 0:
             raise InvalidConfigError("mixture needs at least one component")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise InvalidConfigError("mixture weights must sum to 1")
         if np.any(self.weights < 0):
             raise InvalidConfigError("mixture weights must be nonnegative")
@@ -122,26 +123,44 @@ def _toy_mean(S: int, C: int, cycles: float, root_drift: float,
     return mean
 
 
-def _mixture_from_spec(spec: dict, S: int, C: int) -> GaussianMixture:
+def _finite(spec: dict, key: str, where: str, default=None, shape=()):
+    """``spec[key]`` (or ``default``) as finite float64 broadcast to
+    ``shape``; otherwise an InvalidConfigError names where.key."""
+    value = spec.get(key, default)
+    try:
+        array = np.broadcast_to(np.asarray(value, dtype=np.float64), shape)
+    except (TypeError, ValueError):
+        array = np.array(np.nan)
+    if isinstance(value, (bool, str)) or not np.all(np.isfinite(array)):
+        raise InvalidConfigError(
+            f"{where}.{key} must be a finite number (shape {shape})")
+    return array
+
+
+def _mixture_from_spec(spec: dict, S: int, C: int,
+                       where: str) -> GaussianMixture:
+    if not isinstance(spec, dict):
+        raise InvalidConfigError(f"{where} must be an object, got {spec!r}")
     kind = spec.get("kind", "toy")
     if kind == "toy":
-        mean = _toy_mean(S, C, spec.get("cycles", 2.0),
-                         spec.get("root_drift", 0.5))
-        var = float(spec.get("variance", 0.05))
+        mean = _toy_mean(S, C, _finite(spec, "cycles", where, 2.0),
+                         _finite(spec, "root_drift", where, 0.5))
+        var = _finite(spec, "variance", where, 0.05)
         return GaussianMixture(np.array([1.0]), mean[None],
                                np.full((1, S, C), var))
     if kind == "components":
         comps = spec.get("components", [])
-        if not comps:
-            raise InvalidConfigError("empty component list")
-        weights = np.array([float(c["weight"]) for c in comps])
-        means = np.stack([np.broadcast_to(np.asarray(c["mean"], dtype=np.float64),
-                                          (S, C)) for c in comps])
-        variances = np.stack(
-            [np.broadcast_to(np.asarray(c.get("variance", 0.05), dtype=np.float64),
-                             (S, C)) for c in comps])
+        if not (isinstance(comps, list) and comps
+                and all(isinstance(c, dict) for c in comps)):
+            raise InvalidConfigError(
+                f"{where}.components must be a non-empty list of objects")
+        parts = [(c, f"{where}.components[{i}]") for i, c in enumerate(comps)]
+        weights = np.array([_finite(c, "weight", n) for c, n in parts])
+        means = np.stack([_finite(c, "mean", n, None, (S, C)) for c, n in parts])
+        variances = np.stack([_finite(c, "variance", n, 0.05, (S, C))
+                              for c, n in parts])
         return GaussianMixture(weights / weights.sum(), means, variances)
-    raise InvalidConfigError(f"unknown domain kind {kind!r}")
+    raise InvalidConfigError(f"unknown domain kind {kind!r} in {where}")
 
 
 def make_condition_model(spec: dict) -> ConditionModel:
@@ -160,8 +179,8 @@ def make_condition_model(spec: dict) -> ConditionModel:
         raise InvalidConfigError("S and C must be positive")
     c0 = spec.get("c0", {"kind": "toy", "cycles": 2.0, "root_drift": 0.5})
     c1 = spec.get("c1", {"kind": "toy", "cycles": 6.0, "root_drift": 1.5})
-    return ConditionModel(_mixture_from_spec(c0, S, C),
-                          _mixture_from_spec(c1, S, C),
+    return ConditionModel(_mixture_from_spec(c0, S, C, "c0"),
+                          _mixture_from_spec(c1, S, C, "c1"),
                           float(spec.get("p0", 0.5)))
 
 

@@ -3,9 +3,9 @@
 Interior mixing values are reparameterized through a sigmoid of a latent
 z in R^(K-2); the boundary values stay pinned at 0 and 1.  Because the
 control energy is exactly quadratic in omega for fixed predictions, the
-objective is represented once per step by its quadratic coefficients and the
-Adam loop then runs on that representation; the gradient it sees is identical
-to the direct chain-rule gradient in ``energy_gradient``.
+objective is represented once per step by its quadratic coefficients; the
+Adam loop runs on that representation, and ``energy_gradient`` is its latent
+gradient, the one Adam is fed.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import (ControlConfig, EnergyBreakdown, SegmentPredictions,
-                      control_energy_omega_gradient, stitch_cost,
-                      stitch_cost_aligned_gradient, transient_coefficients)
+                      stitch_cost, stitch_cost_aligned_gradient,
+                      transient_coefficients)
 from .errors import InvalidConfigError, NumericError
 from .schedules import NoiseSchedule
 from .segments import align_root
@@ -43,15 +43,12 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class MixingSchedule:
-    """Optimized mixing state: latent z, induced omega, and the inner-loop trace."""
+    """Optimized mixing state: latent z, omega, its energy and the trace."""
 
     z: np.ndarray
     omega: np.ndarray
     step_trace: list = field(default_factory=list)  # [(omega, EnergyBreakdown)]
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.omega)
+    energy: EnergyBreakdown | None = None
 
 
 @dataclass(frozen=True)
@@ -73,13 +70,13 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid_deriv(z: np.ndarray) -> np.ndarray:
-    s = sigmoid(z)
-    return s * (1.0 - s)
+def pinned(u: np.ndarray) -> np.ndarray:
+    """The full mixing vector of interior values ``u``: [0, u..., 1]."""
+    return np.concatenate([[0.0], u, [1.0]])
 
 
 def omega_of_latent(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0.0], sigmoid(z), [1.0]])
+    return pinned(sigmoid(z))
 
 
 def init_mixing_latent(K: int) -> MixingSchedule:
@@ -114,16 +111,14 @@ class _QuadraticEnergy:
     def __init__(self, preds: SegmentPredictions, t: int,
                  control_config: ControlConfig, schedule: NoiseSchedule,
                  root_channel: int = 0):
-        K = preds.num_segments
-        self.K = K
+        self.K = K = preds.num_segments
         self.w_T = control_config.terminal_weight
         self.q2, self.q1, self.q0 = transient_coefficients(
             preds, t, control_config, schedule)
         n = K - 2
         # row 0: interior omega 0; row j + 1: the j-th interior basis vector
         basis = np.vstack([np.zeros(n), np.eye(n)])
-        w = np.stack([self._omega(u) for u in basis])[:, :, None, None]
-        mixed = (1.0 - w) * preds.source + w * preds.target
+        mixed = preds.mixed(np.stack([pinned(u) for u in basis]))
         self.phi_const = stitch_cost(align_root(mixed[0], root_channel))
         grads = stitch_cost_aligned_gradient(
             mixed, preds.target - preds.source, root_channel)[:, 1:K - 1]
@@ -131,12 +126,9 @@ class _QuadraticEnergy:
         # C order: the summation order of phi_hess @ u depends on the layout
         self.phi_hess = np.ascontiguousarray((grads[1:] - grads[0]).T)
 
-    def _omega(self, u: np.ndarray) -> np.ndarray:
-        return np.concatenate([[0.0], u, [1.0]])
-
     def breakdown(self, u: np.ndarray) -> tuple[np.ndarray, EnergyBreakdown]:
         """The full omega of interior values ``u`` and its energy."""
-        omega = self._omega(u)
+        omega = pinned(u)
         per_seg = self.q2 * omega ** 2 + self.q1 * omega + self.q0
         transient = float(per_seg.sum())
         phi = (self.phi_const + self.phi_grad0 @ u
@@ -149,6 +141,10 @@ class _QuadraticEnergy:
         g = 2.0 * self.q2[1:self.K - 1] * u + self.q1[1:self.K - 1]
         return g + self.w_T * (self.phi_grad0 + self.phi_hess @ u)
 
+    def grad_latent(self, u: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the latent z of ``u = sigmoid(z)``."""
+        return self.grad_interior(u) * (u * (1.0 - u))
+
 
 def energy_gradient(z: np.ndarray, preds: SegmentPredictions,
                     x_t_segments: np.ndarray, t: int,
@@ -156,8 +152,8 @@ def energy_gradient(z: np.ndarray, preds: SegmentPredictions,
                     root_channel: int = 0) -> np.ndarray:
     """Exact gradient of the control energy with respect to the latent z.
 
-    Chain rule through omega = sigmoid(z) on the interior entries; matches
-    central finite differences of the energy to first order in h^2.
+    The gradient ``optimize_mixing`` feeds to Adam, from the quadratic model;
+    matches central finite differences of ``control_energy`` to O(h^2).
     """
     if x_t_segments.shape != preds.source.shape:
         raise ValueError("x_t stack shape differs from predictions")
@@ -166,10 +162,8 @@ def energy_gradient(z: np.ndarray, preds: SegmentPredictions,
         raise ValueError(f"latent must have length {K - 2}")
     if K == 2:
         return np.zeros(0)
-    omega = omega_of_latent(z)
-    grad_omega = control_energy_omega_gradient(
-        preds, omega, t, control_config, schedule, root_channel)
-    grad = grad_omega[1:K - 1] * sigmoid_deriv(z)
+    quad = _QuadraticEnergy(preds, t, control_config, schedule, root_channel)
+    grad = quad.grad_latent(sigmoid(z))
     if not np.all(np.isfinite(grad)):
         raise NumericError(f"non-finite gradient at t={t}")
     return grad
@@ -183,8 +177,8 @@ def optimize_mixing(preds: SegmentPredictions, x_t_segments: np.ndarray,
     """Run J Adam steps on the latent and return the best iterate seen.
 
     The trace records (omega, EnergyBreakdown) for the initialization and for
-    every Adam step, J+1 entries in total.  The returned omega is the lowest-
-    energy iterate, so its energy never exceeds the initialization's.
+    every Adam step, J+1 entries in total.  The returned iterate is the first
+    of lowest energy, so its energy never exceeds the initialization's.
     """
     if x_t_segments.shape != preds.source.shape:
         raise ValueError("x_t stack shape differs from predictions")
@@ -207,9 +201,8 @@ def optimize_mixing(preds: SegmentPredictions, x_t_segments: np.ndarray,
             best = (state.z, omega, energy)
         if j == opt_config.steps:
             break
-        grad = quad.grad_interior(u) * (u * (1.0 - u))
-        state = adam_update(state, grad, opt_config)
-    return MixingSchedule(best[0], best[1], trace)
+        state = adam_update(state, quad.grad_latent(u), opt_config)
+    return MixingSchedule(best[0], best[1], trace, best[2])
 
 
 def closed_form_oracle(preds: SegmentPredictions, x_t_segments: np.ndarray,
@@ -226,10 +219,8 @@ def closed_form_oracle(preds: SegmentPredictions, x_t_segments: np.ndarray,
     if K < 3:
         raise InvalidConfigError("oracle needs K >= 3 (an interior segment)")
     quad = _QuadraticEnergy(preds, t, control_config, schedule, root_channel)
-    n = K - 2
     hess = np.diag(2.0 * quad.q2[1:K - 1]) + quad.w_T * quad.phi_hess
     rhs = -(quad.q1[1:K - 1] + quad.w_T * quad.phi_grad0)
     if np.linalg.cond(hess) > 1e12:
         raise NumericError("singular interior system; oracle unavailable")
-    u = np.linalg.solve(hess, rhs)
-    return np.concatenate([[0.0], u, [1.0]])
+    return pinned(np.linalg.solve(hess, rhs))

@@ -97,17 +97,14 @@ def _run(scenario, seed: int, optimize: bool, kind: str | None) -> RunResult:
         if optimize:
             mixing = optimize_mixing(preds, x, t, opt_cfg, ctl_cfg, schedule,
                                      root, z_init=z_carry)
-            omega = mixing.omega
-            energy = min((e for _, e in mixing.step_trace),
-                         key=lambda e: e.total)
+            omega, energy = mixing.omega, mixing.energy
             if opt_cfg.warm_start:
                 z_carry = mixing.z
         else:
             omega = fixed_omega
             energy = control_energy(x, preds, omega, t, ctl_cfg, schedule, root)
-        mixed = (1.0 - omega[:, None, None]) * preds.source \
-            + omega[:, None, None] * preds.target
-        x = hard_stitch_project(ddim_step(x, mixed, t, t_next, schedule))
+        x = hard_stitch_project(ddim_step(x, preds.mixed(omega), t, t_next,
+                                          schedule))
         omega_grid[n] = omega
         energy_trace.append(energy)
 

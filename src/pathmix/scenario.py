@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -57,6 +58,7 @@ class Scenario:
     def __post_init__(self):
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+        self.model  # built now, so that a bad domain spec fails here
 
     def build_schedule(self) -> NoiseSchedule:
         return build_cosine_schedule(self.total_steps)
@@ -106,26 +108,36 @@ class Scenario:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _merge_section(name: str, raw: dict, defaults: dict,
-                   free_keys: tuple = ()) -> dict:
-    unknown = set(raw) - set(defaults) - set(free_keys)
+def _typed(name: str, value, kind: type):
+    """``value`` as ``kind`` or a ScenarioError; ints may be integral floats."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    base = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    if not isinstance(value, base) or (isinstance(value, bool)
+                                       and kind is not bool):
+        raise ScenarioError(f"{name} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _merge_section(name: str, raw: dict, defaults: dict) -> dict:
+    """``defaults`` updated from ``raw``, each value of the default's type."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{name!r} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ScenarioError(
             f"unknown key(s) in {name!r}: {', '.join(sorted(unknown))}")
     merged = dict(defaults)
     merged.update(raw)
+    for key, default in defaults.items():
+        if not isinstance(default, dict):
+            merged[key] = _typed(f"{name}.{key}", merged[key], type(default))
     return merged
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
     top = _merge_section("scenario", raw, DEFAULTS)
     lay = _merge_section("layout", top["layout"], DEFAULTS["layout"])
-    if lay["K"] < 2:
-        raise ScenarioError("layout.K must be >= 2")
-    if lay["S"] % 2 != 0:
-        raise ScenarioError("layout.S must be even")
     dom = _merge_section("domains", top["domains"], DEFAULTS["domains"])
     sch = _merge_section("schedule", top["schedule"], DEFAULTS["schedule"])
     opt = _merge_section("optimizer", top["optimizer"], DEFAULTS["optimizer"])
@@ -133,20 +145,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
     ev = _merge_section("eval", top["eval"], DEFAULTS["eval"])
     try:
         return Scenario(
-            layout=SegmentLayout(int(lay["K"]), int(lay["S"]), int(lay["C"]),
-                                 int(lay["root_channel"])),
+            layout=SegmentLayout(lay["K"], lay["S"], lay["C"],
+                                 lay["root_channel"]),
             domains=dom,
-            total_steps=int(sch["T"]),
-            ddim_steps=int(sch["N"]),
-            optimizer=OptimizerConfig(steps=int(opt["J"]), lr=float(opt["lr"]),
-                                      warm_start=bool(opt["warm_start"])),
-            control=ControlConfig(terminal_weight=float(ctl["w_T"]),
-                                  lambda_mode=str(ctl["lambda_mode"]),
-                                  sigmoid_sharpness=float(
-                                      ctl["sigmoid_sharpness"])),
-            eval_n_clips=int(ev["n_clips"]),
-            eval_n_pairs=int(ev["n_pairs"]),
-            seed=int(top["seed"]),
+            total_steps=sch["T"], ddim_steps=sch["N"],
+            optimizer=OptimizerConfig(steps=opt["J"], lr=opt["lr"],
+                                      warm_start=opt["warm_start"]),
+            control=ControlConfig(terminal_weight=ctl["w_T"],
+                                  lambda_mode=ctl["lambda_mode"],
+                                  sigmoid_sharpness=ctl["sigmoid_sharpness"]),
+            eval_n_clips=ev["n_clips"], eval_n_pairs=ev["n_pairs"],
+            seed=top["seed"],
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc

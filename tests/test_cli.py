@@ -66,6 +66,25 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("raw,named", [
+        ({"layout": {"K": "4"}}, "layout.K"),
+        ({"layout": 5}, "'layout'"),
+        ({"domains": {"c0": {"kind": "components",
+                             "components": [{"mean": 0.0}]}}},
+         "c0.components[0].weight"),
+        ({"domains": {"c0": {"kind": "toy", "cycles": "x"}}}, "c0.cycles"),
+    ], ids=["K-string", "layout-number", "component-without-weight",
+            "cycles-string"])
+    def test_malformed_value_rejected_at_load(self, tmp_path, capsys, raw,
+                                              named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["generate", "--scenario", str(bad), "--method", "mdpa",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_scenario_content_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"layout": {"K": 1}}))

@@ -171,6 +171,33 @@ class TestOptimizeMixing:
             assert best <= prev + 1e-15
             prev = best
 
+    @pytest.mark.parametrize("K", [3, 4, 6])
+    def test_adam_runs_the_checked_gradient(self, schedule, rng, K):
+        # replaying Adam by hand on energy_gradient, the gradient the
+        # finite-difference checks verify, reproduces the optimizer's iterates
+        cfg, opt = ControlConfig(), OptimizerConfig()
+        for _ in range(10):
+            t = int(rng.integers(1, 1001))
+            preds, x = interior_instance(rng, K)
+            z0 = rng.normal(size=K - 2)
+            m = optimize_mixing(preds, x, t, opt, cfg, schedule, z_init=z0)
+            state = AdamState.fresh(z0)
+            for j, (omega, _) in enumerate(m.step_trace):
+                assert np.array_equal(omega, omega_of_latent(state.z))
+                if j < opt.steps:
+                    grad = energy_gradient(state.z, preds, x, t, cfg,
+                                           schedule)
+                    state = adam_update(state, grad, opt)
+
+    def test_energy_is_first_lowest_trace_entry(self, schedule, rng):
+        preds, x = interior_instance(rng, 5)
+        m = optimize_mixing(preds, x, 400, OptimizerConfig(), ControlConfig(),
+                            schedule)
+        totals = [e.total for _, e in m.step_trace]
+        best = totals.index(min(totals))
+        assert m.energy is m.step_trace[best][1]
+        assert np.array_equal(m.omega, m.step_trace[best][0])
+
     def test_warm_start_uses_given_latent(self, schedule, rng):
         preds, x = interior_instance(rng, 4)
         z0 = np.array([1.2, -0.7])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,27 @@ class TestScenarioLoading:
     def test_non_finite_floats_rejected(self, section, key, field, value):
         with pytest.raises(ScenarioError, match=field):
             scenario_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("raw,named", [
+        ({"optimizer": {"warm_start": "no"}}, "optimizer.warm_start"),
+        ({"layout": {"C": True}}, "layout.C"),
+        ({"seed": 1.5}, "scenario.seed"),
+        ({"control": {"lambda_mode": 1}}, "control.lambda_mode"),
+        ({"eval": []}, "'eval'"),
+        ({"domains": {"c1": 3}}, "c1"),
+        ({"domains": {"p0": "x"}}, "domains.p0"),
+        ({"domains": {"c0": {"kind": "components", "components": [
+            {"weight": 1.0, "mean": [0.0, 1.0]}]}}}, "c0.components[0].mean"),
+        ({"domains": {"c1": {"variance": float("nan")}}}, "c1.variance")])
+    def test_wrongly_typed_values_rejected(self, raw, named):
+        with pytest.raises(ScenarioError, match=re.escape(named)):
+            scenario_from_dict(raw)
+
+    def test_integral_float_counts_as_integer(self):
+        sc = scenario_from_dict({"layout": {"K": 6.0}})
+        assert sc.layout.K == 6 and isinstance(sc.layout.K, int)
+        assert sc.fingerprint == scenario_from_dict(
+            {"layout": {"K": 6}}).fingerprint
 
     def test_runs_share_one_schedule_plan_and_model(self):
         sc = scenario_from_dict({"schedule": {"N": 4}})
