@@ -37,6 +37,6 @@ preds = SegmentPredictions(
 
 print(f"\nunconstrained quadratic optimum at t={t}:")
 for w_T in (0.1, 1.0, 10.0):
-    omega = closed_form_oracle(preds, x_t, t,
-                               ControlConfig(terminal_weight=w_T), schedule)
+    omega = closed_form_oracle(preds, t, ControlConfig(terminal_weight=w_T),
+                               schedule)
     print(f"  w_T={w_T:5.1f} -> interior omega* = {omega[1:-1]}")

@@ -38,6 +38,19 @@ def _load(args) -> Scenario:
     return scenario
 
 
+def _scorable(scenario: Scenario) -> Scenario:
+    """``scenario`` if ``evaluate`` can score its clips, else a ScenarioError
+    raised before any sampling run."""
+    for key, value, least in (("eval.n_clips", scenario.eval_n_clips, 2),
+                              ("eval.n_pairs", scenario.eval_n_pairs, 1),
+                              ("layout.S", scenario.layout.S, 4),
+                              ("layout.C", scenario.layout.C, 2)):
+        if value < least:
+            raise ScenarioError(
+                f"{key} must be >= {least} to score clips, got {value}")
+    return scenario
+
+
 def _run_method(scenario: Scenario, method: str, seed: int):
     if method == "mdpa":
         return optimized_sample(scenario, seed)
@@ -84,7 +97,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    scenario = _load(args)
+    scenario = _scorable(_load(args))
     n_runs = args.runs or _default_runs(scenario)
     gen = _method_clips(scenario, args.method, n_runs)
     gt = _gt_clips(scenario, scenario.seed)
@@ -99,7 +112,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenario = _load(args)
+    scenario = _scorable(_load(args))
     n_runs = args.runs or _default_runs(scenario)
     gt = _gt_clips(scenario, scenario.seed)
     reports = {"ground_truth": evaluate(gt, gt, scenario.eval_n_pairs,
@@ -125,28 +138,34 @@ def _parse_sweep(spec: str):
     if key not in SWEEP_KEYS:
         raise ScenarioError(
             f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
-    kind = int if key in ("J", "K") else float
     parsed = []
     for token in values.split(","):
         try:
-            parsed.append(kind(token))
+            parsed.append(float(token))
         except ValueError:
             raise ScenarioError(
-                f"sweep {key} needs {kind.__name__} values, got {token!r}"
-            ) from None
+                f"sweep {key} needs numeric values, got {token!r}") from None
     return key, parsed
+
+
+def _variant(scenario: Scenario, key: str, value: float) -> Scenario:
+    section, field = SWEEP_KEYS[key]
+    raw = scenario.to_dict()
+    raw[section][field] = value
+    try:
+        return scenario_from_dict(raw)
+    except ScenarioError as exc:
+        raise ScenarioError(f"sweep {key}={value:g}: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
     scenario = _load(args)
     key, values = _parse_sweep(args.sweep)
-    section, field = SWEEP_KEYS[key]
+    # every variant is built first, so that a bad value writes nothing
+    variants = [_variant(scenario, key, value) for value in values]
     out = Path(args.out)
     rows = []
-    for value in values:
-        raw = scenario.to_dict()
-        raw[section][field] = value
-        variant = scenario_from_dict(raw)
+    for value, variant in zip(values, variants):
         result = optimized_sample(variant, variant.seed)
         run_dir = out / f"{key}_{value:g}"
         write_run(result, None, run_dir)

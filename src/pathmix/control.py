@@ -11,7 +11,7 @@ evaluator and the terms the optimizer's quadratic model is built from.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class EnergyBreakdown:
     transient: float
     terminal: float
     total: float
-    per_segment_transient: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    per_segment_transient: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,8 @@ def lambda_weight(t: int, schedule: NoiseSchedule, mode: str = "posterior") -> f
     return beta ** 2 / (2.0 * (1.0 - beta) * (1.0 - schedule.alpha_bar[t]) * pv)
 
 
-def reverse_kl_check(x_t: np.ndarray, eps_a: np.ndarray, eps_b: np.ndarray,
-                     t: int, schedule: NoiseSchedule) -> float:
+def reverse_kl_check(eps_a: np.ndarray, eps_b: np.ndarray, t: int,
+                     schedule: NoiseSchedule) -> float:
     """Exact KL between the Gaussian reverse transitions induced by two noise
     predictions (shared posterior variance): ||mu_a - mu_b||^2 / (2 var)."""
     if t < 1:
@@ -169,24 +169,21 @@ def heuristic_omega(kind: str, K: int, sharpness: float = 10.0) -> np.ndarray:
     raise InvalidConfigError(f"unknown schedule kind {kind!r}")
 
 
-def control_energy(x_t_segments: np.ndarray, preds: SegmentPredictions,
-                   omega: np.ndarray, t: int, config: ControlConfig,
-                   schedule: NoiseSchedule,
+def control_energy(preds: SegmentPredictions, omega: np.ndarray, t: int,
+                   config: ControlConfig, schedule: NoiseSchedule,
                    root_channel: int = 0) -> EnergyBreakdown:
     """Per-step control energy of a mixing vector with pinned boundaries.
 
     transient = lambda_t * sum_k ||delta_eps_k||^2 with the mixed prediction
     per segment; terminal = w_T * stitch cost of the root-aligned mixed
-    clean-signal stack.  ``x_t_segments`` only fixes shapes: the noise-space
-    delta depends on the prediction difference alone.
+    clean-signal stack.  The noisy state cancels out of the noise-space
+    delta, which depends on the prediction difference alone.
     """
     K = preds.num_segments
     if omega.shape != (K,):
         raise ValueError(f"omega must have length {K}")
     if omega[0] != 0.0 or omega[-1] != 1.0:
         raise ValueError("omega boundaries must be pinned to 0 and 1 exactly")
-    if x_t_segments.shape != preds.source.shape:
-        raise ValueError("x_t stack shape differs from predictions")
     lam = lambda_weight(t, schedule, config.lambda_mode)
     c2 = _delta_coeff(t, schedule) ** 2
     mixed = preds.mixed(omega)

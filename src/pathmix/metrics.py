@@ -9,7 +9,7 @@ computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,18 +51,7 @@ class EvalReport:
     n_gt: int
 
     def as_dict(self) -> dict:
-        return {
-            "fid_kinetic": self.fid_kinetic,
-            "fid_geometric": self.fid_geometric,
-            "div_kinetic": self.div_kinetic,
-            "div_geometric": self.div_geometric,
-            "accel_mean": self.accel_mean,
-            "accel_var": self.accel_var,
-            "jerk_mean": self.jerk_mean,
-            "jerk_var": self.jerk_var,
-            "n_gen": self.n_gen,
-            "n_gt": self.n_gt,
-        }
+        return asdict(self)
 
 
 def kinetic_features(clip: np.ndarray) -> np.ndarray:

@@ -156,6 +156,9 @@ def _mixture_from_spec(spec: dict, S: int, C: int,
                 f"{where}.components must be a non-empty list of objects")
         parts = [(c, f"{where}.components[{i}]") for i, c in enumerate(comps)]
         weights = np.array([_finite(c, "weight", n) for c, n in parts])
+        if np.any(weights < 0) or not weights.sum() > 0:
+            raise InvalidConfigError(
+                f"{where} component weights must be >= 0 with a positive sum")
         means = np.stack([_finite(c, "mean", n, None, (S, C)) for c, n in parts])
         variances = np.stack([_finite(c, "variance", n, 0.05, (S, C))
                               for c, n in parts])

@@ -22,19 +22,20 @@ from .schedules import NoiseSchedule
 from .segments import align_root
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     steps: int = 20        # J
     lr: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     warm_start: bool = True
 
     def __post_init__(self):
-        for name in ("lr", "adam_beta1", "adam_beta2", "adam_eps"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidConfigError(f"{name} must be finite")
+        if not np.isfinite(self.lr):
+            raise InvalidConfigError("lr must be finite")
         if self.steps < 0:
             raise InvalidConfigError("steps must be >= 0")
         if self.lr <= 0:
@@ -56,7 +57,7 @@ class AdamState:
     z: np.ndarray
     m: np.ndarray
     v: np.ndarray
-    count: int = 0
+    count: int
 
     @classmethod
     def fresh(cls, z: np.ndarray) -> "AdamState":
@@ -90,13 +91,13 @@ def init_mixing_latent(K: int) -> MixingSchedule:
 def adam_update(state: AdamState, grad: np.ndarray,
                 config: OptimizerConfig) -> AdamState:
     """One bias-corrected Adam step on the latent held in ``state``."""
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     count = state.count + 1
     m = b1 * state.m + (1.0 - b1) * grad
     v = b2 * state.v + (1.0 - b2) * grad ** 2
     m_hat = m / (1.0 - b1 ** count)
     v_hat = v / (1.0 - b2 ** count)
-    z = state.z - config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    z = state.z - config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return AdamState(z, m, v, count)
 
 
@@ -146,8 +147,7 @@ class _QuadraticEnergy:
         return self.grad_interior(u) * (u * (1.0 - u))
 
 
-def energy_gradient(z: np.ndarray, preds: SegmentPredictions,
-                    x_t_segments: np.ndarray, t: int,
+def energy_gradient(z: np.ndarray, preds: SegmentPredictions, t: int,
                     control_config: ControlConfig, schedule: NoiseSchedule,
                     root_channel: int = 0) -> np.ndarray:
     """Exact gradient of the control energy with respect to the latent z.
@@ -155,8 +155,6 @@ def energy_gradient(z: np.ndarray, preds: SegmentPredictions,
     The gradient ``optimize_mixing`` feeds to Adam, from the quadratic model;
     matches central finite differences of ``control_energy`` to O(h^2).
     """
-    if x_t_segments.shape != preds.source.shape:
-        raise ValueError("x_t stack shape differs from predictions")
     K = preds.num_segments
     if z.shape != (K - 2,):
         raise ValueError(f"latent must have length {K - 2}")
@@ -169,8 +167,8 @@ def energy_gradient(z: np.ndarray, preds: SegmentPredictions,
     return grad
 
 
-def optimize_mixing(preds: SegmentPredictions, x_t_segments: np.ndarray,
-                    t: int, opt_config: OptimizerConfig,
+def optimize_mixing(preds: SegmentPredictions, t: int,
+                    opt_config: OptimizerConfig,
                     control_config: ControlConfig, schedule: NoiseSchedule,
                     root_channel: int = 0,
                     z_init: np.ndarray | None = None) -> MixingSchedule:
@@ -180,8 +178,6 @@ def optimize_mixing(preds: SegmentPredictions, x_t_segments: np.ndarray,
     every Adam step, J+1 entries in total.  The returned iterate is the first
     of lowest energy, so its energy never exceeds the initialization's.
     """
-    if x_t_segments.shape != preds.source.shape:
-        raise ValueError("x_t stack shape differs from predictions")
     K = preds.num_segments
     z = np.zeros(K - 2) if z_init is None else np.asarray(z_init, dtype=np.float64)
     if z.shape != (K - 2,):
@@ -205,9 +201,8 @@ def optimize_mixing(preds: SegmentPredictions, x_t_segments: np.ndarray,
     return MixingSchedule(best[0], best[1], trace, best[2])
 
 
-def closed_form_oracle(preds: SegmentPredictions, x_t_segments: np.ndarray,
-                       t: int, control_config: ControlConfig,
-                       schedule: NoiseSchedule,
+def closed_form_oracle(preds: SegmentPredictions, t: int,
+                       control_config: ControlConfig, schedule: NoiseSchedule,
                        root_channel: int = 0) -> np.ndarray:
     """Unconstrained stationary point of the quadratic energy over interior omega.
 

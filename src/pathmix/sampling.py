@@ -69,7 +69,8 @@ def initial_segment_noise(layout: SegmentLayout, seed: int) -> np.ndarray:
     return x
 
 
-def _run(scenario, seed: int, optimize: bool, kind: str | None) -> RunResult:
+def _run(scenario, seed: int, kind: str | None) -> RunResult:
+    """One run with the heuristic schedule ``kind``, or optimized if None."""
     start = time.perf_counter()
     layout: SegmentLayout = scenario.layout
     schedule = scenario.schedule
@@ -80,9 +81,8 @@ def _run(scenario, seed: int, optimize: bool, kind: str | None) -> RunResult:
     root = layout.root_channel
 
     x = initial_segment_noise(layout, seed)
-    fixed_omega = None
-    if not optimize:
-        fixed_omega = heuristic_omega(kind, layout.K, ctl_cfg.sigmoid_sharpness)
+    fixed_omega = None if kind is None else heuristic_omega(
+        kind, layout.K, ctl_cfg.sigmoid_sharpness)
 
     omega_grid = np.empty((plan.num_steps, layout.K))
     energy_trace = []
@@ -94,15 +94,15 @@ def _run(scenario, seed: int, optimize: bool, kind: str | None) -> RunResult:
             predict_x0(model, x, t, Condition.TARGET, schedule),
             predict_x0(model, x, t, Condition.NULL, schedule),
         )
-        if optimize:
-            mixing = optimize_mixing(preds, x, t, opt_cfg, ctl_cfg, schedule,
+        if kind is None:
+            mixing = optimize_mixing(preds, t, opt_cfg, ctl_cfg, schedule,
                                      root, z_init=z_carry)
             omega, energy = mixing.omega, mixing.energy
             if opt_cfg.warm_start:
                 z_carry = mixing.z
         else:
             omega = fixed_omega
-            energy = control_energy(x, preds, omega, t, ctl_cfg, schedule, root)
+            energy = control_energy(preds, omega, t, ctl_cfg, schedule, root)
         x = hard_stitch_project(ddim_step(x, preds.mixed(omega), t, t_next,
                                           schedule))
         omega_grid[n] = omega
@@ -115,7 +115,7 @@ def _run(scenario, seed: int, optimize: bool, kind: str | None) -> RunResult:
 
 def optimized_sample(scenario, seed: int) -> RunResult:
     """Long-range sampling with per-step optimization of the mixing vector."""
-    return _run(scenario, seed, optimize=True, kind=None)
+    return _run(scenario, seed, None)
 
 
 def baseline_sample(scenario, kind: str, seed: int) -> RunResult:
@@ -123,7 +123,7 @@ def baseline_sample(scenario, kind: str, seed: int) -> RunResult:
     optimization); the control energy is still recorded for comparison."""
     if kind not in BASELINE_KINDS:
         raise InvalidConfigError(f"unknown baseline kind {kind!r}")
-    return _run(scenario, seed, optimize=False, kind=kind)
+    return _run(scenario, seed, kind)
 
 
 def conditional_ddim_sample(model: ConditionModel, cond: Condition,

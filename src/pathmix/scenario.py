@@ -12,7 +12,7 @@ import datetime
 import hashlib
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -47,13 +47,13 @@ METHOD_ORDER = ("ground_truth", "linear", "sigmoid", "sine", "mdpa")
 class Scenario:
     layout: SegmentLayout
     domains: dict
-    total_steps: int = 1000    # T
-    ddim_steps: int = 50       # N
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    control: ControlConfig = field(default_factory=ControlConfig)
-    eval_n_clips: int = 200
-    eval_n_pairs: int = 2000
-    seed: int = 0
+    total_steps: int    # T
+    ddim_steps: int     # N
+    optimizer: OptimizerConfig
+    control: ControlConfig
+    eval_n_clips: int
+    eval_n_pairs: int
+    seed: int
 
     def __post_init__(self):
         if self.seed < 0:
@@ -116,7 +116,11 @@ def _typed(name: str, value, kind: type):
     if not isinstance(value, base) or (isinstance(value, bool)
                                        and kind is not bool):
         raise ScenarioError(f"{name} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ScenarioError(f"{name} is too large for a {kind.__name__}") \
+            from None
 
 
 def _merge_section(name: str, raw: dict, defaults: dict) -> dict:
@@ -181,7 +185,7 @@ def _fmt(x: float) -> str:
 def _write_csv(path: Path, header: list[str], rows):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (int, np.integer))
+        lines.append(",".join(str(c) if isinstance(c, (str, int, np.integer))
                               else _fmt(c) for c in row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -226,16 +230,6 @@ def export_comparison_table(reports: dict, path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     order = [m for m in METHOD_ORDER if m in reports]
     order += sorted(set(reports) - set(order))
-    header = ["method", "fid_kinetic", "fid_geometric", "div_kinetic",
-              "div_geometric", "accel_mean", "accel_var", "jerk_mean",
-              "jerk_var", "n_gen", "n_gt"]
-    lines = [",".join(header)]
-    for method in order:
-        r = reports[method]
-        lines.append(",".join([method] + [
-            _fmt(v) for v in (r.fid_kinetic, r.fid_geometric, r.div_kinetic,
-                              r.div_geometric, r.accel_mean, r.accel_var,
-                              r.jerk_mean, r.jerk_var)]
-            + [str(r.n_gen), str(r.n_gt)]))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, ["method"] + [f.name for f in fields(EvalReport)],
+               ((method, *astuple(reports[method])) for method in order))
     return path

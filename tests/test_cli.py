@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import pathmix.checks
 from pathmix.checks import check_kl_proportionality, run_check
 from pathmix.cli import main
 
@@ -91,6 +92,14 @@ class TestGenerate:
         assert main(["generate", "--scenario", str(bad), "--method", "mdpa",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_unscored_layout_still_generates(self, tmp_path):
+        # only scoring needs C >= 2 and S >= 4
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps({"layout": {"S": 2, "C": 1},
+                                    "schedule": {"N": 4}}))
+        assert main(["generate", "--scenario", str(path), "--out",
+                     str(tmp_path / "o")]) == 0
+
     def test_seed_determinism_byte_identical(self, fast_scenario_path,
                                              tmp_path):
         args = ["generate", "--scenario", str(fast_scenario_path),
@@ -112,6 +121,24 @@ class TestEvaluate:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["n_gen"] == 8
         assert np.isfinite(metrics["fid_kinetic"])
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    @pytest.mark.parametrize("section,key,value", [
+        ("eval", "n_clips", 1), ("eval", "n_pairs", 0), ("layout", "C", 1),
+        ("layout", "S", 2)])
+    def test_unscorable_scenario_rejected_before_sampling(
+            self, tmp_path, capsys, monkeypatch, command, section, key, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("sampling ran")
+        for name in ("optimized_sample", "baseline_sample", "sample_clips"):
+            monkeypatch.setattr(f"pathmix.cli.{name}", no_run)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schedule": {"N": 4},
+                                   section: {key: value}}))
+        assert main([command, "--scenario", str(bad), "--runs", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCompare:
@@ -167,6 +194,16 @@ class TestSweep:
         assert "J" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("spec,named", [("w_T=1,-1", "w_T=-1"),
+                                            ("K=4,1", "K=1")])
+    def test_bad_later_value_exits_2_before_any_run(
+            self, fast_scenario_path, tmp_path, capsys, spec, named):
+        code = main(["sweep", "--scenario", str(fast_scenario_path),
+                     "--sweep", spec, "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
 
 class TestCheck:
     def test_all_checks_pass(self, capsys):
@@ -175,10 +212,13 @@ class TestCheck:
         assert out.count("[PASS]") >= 6
         assert "[FAIL]" not in out
 
-    def test_lambda_fault_injection_detected(self):
-        result = check_kl_proportionality(lambda_scale=1.001)
+    def test_lambda_fault_injection_detected(self, monkeypatch):
+        weight = pathmix.checks.lambda_weight
+        monkeypatch.setattr(pathmix.checks, "lambda_weight",
+                            lambda *args: 1.001 * weight(*args))
+        result = check_kl_proportionality()
         assert not result.passed
-        assert run_check(lambda_scale=1.001) == 1
+        assert run_check() == 1
 
     def test_cli_entry(self):
         assert main(["check"]) == 0

@@ -22,7 +22,8 @@ def interior_instance(rng, K, S=16, C=4):
     levels = rng.uniform(0.25, 0.75, size=K)[:, None, None]
     uncond = ((1 - levels) * source + levels * target
               + 0.05 * rng.normal(size=(K, S, C)))
-    return SegmentPredictions(source, target, uncond), rng.normal(size=(K, S, C))
+    rng.normal(size=(K, S, C))  # unused draw: keeps the seeded instances
+    return SegmentPredictions(source, target, uncond)
 
 
 class TestLatentParameterization:
@@ -79,9 +80,7 @@ class TestAdam:
 class TestEnergyGradient:
     def test_empty_for_two_segments(self, schedule, rng):
         preds = random_preds(rng, K=2)
-        x = rng.normal(size=(2, 16, 4))
-        g = energy_gradient(np.zeros(0), preds, x, 100, ControlConfig(),
-                            schedule)
+        g = energy_gradient(np.zeros(0), preds, 100, ControlConfig(), schedule)
         assert g.shape == (0,)
 
     @pytest.mark.parametrize("K", [3, 4, 6])
@@ -90,16 +89,16 @@ class TestEnergyGradient:
         h = 1e-5
         for trial in range(12):
             t = int(rng.integers(1, 1001))
-            preds, x = interior_instance(rng, K)
+            preds = interior_instance(rng, K)
             z = rng.normal(size=K - 2)
-            grad = energy_gradient(z, preds, x, t, cfg, schedule)
+            grad = energy_gradient(z, preds, t, cfg, schedule)
             for j in range(K - 2):
                 zp, zm = z.copy(), z.copy()
                 zp[j] += h
                 zm[j] -= h
-                fd = (control_energy(x, preds, omega_of_latent(zp), t, cfg,
+                fd = (control_energy(preds, omega_of_latent(zp), t, cfg,
                                      schedule).total
-                      - control_energy(x, preds, omega_of_latent(zm), t, cfg,
+                      - control_energy(preds, omega_of_latent(zm), t, cfg,
                                        schedule).total) / (2 * h)
                 assert abs(grad[j] - fd) / max(abs(fd), 1.0) < 1e-5
 
@@ -107,13 +106,13 @@ class TestEnergyGradient:
         # w_T = 0, one interior segment: the transient is a 1-D quadratic in
         # omega, so the z-gradient changes sign across its minimum
         cfg = ControlConfig(terminal_weight=0.0)
-        preds, x = interior_instance(rng, 3)
-        omega_star = closed_form_oracle(preds, x, 500, cfg, schedule)[1]
+        preds = interior_instance(rng, 3)
+        omega_star = closed_form_oracle(preds, 500, cfg, schedule)[1]
         assert 0.05 < omega_star < 0.95
         z_star = np.log(omega_star / (1 - omega_star))
-        lo = energy_gradient(np.array([z_star - 0.5]), preds, x, 500, cfg,
+        lo = energy_gradient(np.array([z_star - 0.5]), preds, 500, cfg,
                              schedule)
-        hi = energy_gradient(np.array([z_star + 0.5]), preds, x, 500, cfg,
+        hi = energy_gradient(np.array([z_star + 0.5]), preds, 500, cfg,
                              schedule)
         assert lo[0] < 0 < hi[0]
 
@@ -121,30 +120,29 @@ class TestEnergyGradient:
         cfg = ControlConfig()
         done = 0
         while done < 5:
-            preds, x = interior_instance(rng, 4)
-            omega_star = closed_form_oracle(preds, x, 600, cfg, schedule)
+            preds = interior_instance(rng, 4)
+            omega_star = closed_form_oracle(preds, 600, cfg, schedule)
             u = omega_star[1:-1]
             if not np.all((u > 0.05) & (u < 0.95)):
                 continue
             z_star = np.log(u / (1 - u))
-            grad = energy_gradient(z_star, preds, x, 600, cfg, schedule)
-            scale = control_energy(x, preds, omega_star, 600, cfg,
-                                   schedule).total
+            grad = energy_gradient(z_star, preds, 600, cfg, schedule)
+            scale = control_energy(preds, omega_star, 600, cfg, schedule).total
             assert np.max(np.abs(grad)) / scale < 1e-6
             done += 1
 
 
 class TestOptimizeMixing:
     def test_zero_steps_returns_init(self, schedule, rng):
-        preds, x = interior_instance(rng, 4)
-        m = optimize_mixing(preds, x, 400, OptimizerConfig(steps=0),
+        preds = interior_instance(rng, 4)
+        m = optimize_mixing(preds, 400, OptimizerConfig(steps=0),
                             ControlConfig(), schedule)
         np.testing.assert_array_equal(m.omega, [0.0, 0.5, 0.5, 1.0])
         assert len(m.step_trace) == 1
 
     def test_trace_length_and_pins(self, schedule, rng):
-        preds, x = interior_instance(rng, 4)
-        m = optimize_mixing(preds, x, 400, OptimizerConfig(steps=20, lr=0.01),
+        preds = interior_instance(rng, 4)
+        m = optimize_mixing(preds, 400, OptimizerConfig(steps=20, lr=0.01),
                             ControlConfig(), schedule)
         assert len(m.step_trace) == 21
         for omega, _ in m.step_trace:
@@ -152,21 +150,21 @@ class TestOptimizeMixing:
 
     def test_best_iterate_never_worse_than_init(self, schedule, rng):
         for _ in range(10):
-            preds, x = interior_instance(rng, 5)
-            m = optimize_mixing(preds, x, int(rng.integers(1, 1001)),
+            preds = interior_instance(rng, 5)
+            m = optimize_mixing(preds, int(rng.integers(1, 1001)),
                                 OptimizerConfig(steps=20, lr=0.01),
                                 ControlConfig(), schedule)
             energies = [e.total for _, e in m.step_trace]
             assert min(energies) <= energies[0]
 
     def test_best_iterate_monotone_in_budget(self, schedule, rng):
-        preds, x = interior_instance(rng, 4)
+        preds = interior_instance(rng, 4)
         cfg = ControlConfig()
         prev = np.inf
         for steps in (0, 5, 20, 80):
-            m = optimize_mixing(preds, x, 700, OptimizerConfig(steps=steps,
-                                                               lr=0.05),
-                                cfg, schedule)
+            m = optimize_mixing(preds, 700,
+                                OptimizerConfig(steps=steps, lr=0.05), cfg,
+                                schedule)
             best = min(e.total for _, e in m.step_trace)
             assert best <= prev + 1e-15
             prev = best
@@ -178,20 +176,19 @@ class TestOptimizeMixing:
         cfg, opt = ControlConfig(), OptimizerConfig()
         for _ in range(10):
             t = int(rng.integers(1, 1001))
-            preds, x = interior_instance(rng, K)
+            preds = interior_instance(rng, K)
             z0 = rng.normal(size=K - 2)
-            m = optimize_mixing(preds, x, t, opt, cfg, schedule, z_init=z0)
+            m = optimize_mixing(preds, t, opt, cfg, schedule, z_init=z0)
             state = AdamState.fresh(z0)
             for j, (omega, _) in enumerate(m.step_trace):
                 assert np.array_equal(omega, omega_of_latent(state.z))
                 if j < opt.steps:
-                    grad = energy_gradient(state.z, preds, x, t, cfg,
-                                           schedule)
+                    grad = energy_gradient(state.z, preds, t, cfg, schedule)
                     state = adam_update(state, grad, opt)
 
     def test_energy_is_first_lowest_trace_entry(self, schedule, rng):
-        preds, x = interior_instance(rng, 5)
-        m = optimize_mixing(preds, x, 400, OptimizerConfig(), ControlConfig(),
+        preds = interior_instance(rng, 5)
+        m = optimize_mixing(preds, 400, OptimizerConfig(), ControlConfig(),
                             schedule)
         totals = [e.total for _, e in m.step_trace]
         best = totals.index(min(totals))
@@ -199,9 +196,9 @@ class TestOptimizeMixing:
         assert np.array_equal(m.omega, m.step_trace[best][0])
 
     def test_warm_start_uses_given_latent(self, schedule, rng):
-        preds, x = interior_instance(rng, 4)
+        preds = interior_instance(rng, 4)
         z0 = np.array([1.2, -0.7])
-        m = optimize_mixing(preds, x, 300, OptimizerConfig(steps=0),
+        m = optimize_mixing(preds, 300, OptimizerConfig(steps=0),
                             ControlConfig(), schedule, z_init=z0)
         np.testing.assert_allclose(m.step_trace[0][0][1:-1], sigmoid(z0))
 
@@ -210,22 +207,21 @@ class TestClosedFormOracle:
     def test_requires_interior_segment(self, schedule, rng):
         preds = random_preds(rng, K=2)
         with pytest.raises(InvalidConfigError):
-            closed_form_oracle(preds, rng.normal(size=(2, 16, 4)), 100,
-                               ControlConfig(), schedule)
+            closed_form_oracle(preds, 100, ControlConfig(), schedule)
 
     def test_decoupled_case_matches_grid_search(self, schedule, rng):
         # w_T = 0 decouples segments; compare each interior minimizer against
         # a dense 1-D grid search over the energy itself
         cfg = ControlConfig(terminal_weight=0.0)
-        preds, x = interior_instance(rng, 4)
-        omega_star = closed_form_oracle(preds, x, 500, cfg, schedule)
+        preds = interior_instance(rng, 4)
+        omega_star = closed_form_oracle(preds, 500, cfg, schedule)
         grid = np.linspace(0.0, 1.0, 100_001)
         for k in (1, 2):
             vals = []
             omega = omega_star.copy()
             for g in (grid[:: 1000]):  # coarse pass to keep runtime sane
                 omega[k] = g
-                vals.append(control_energy(x, preds, omega, 500, cfg,
+                vals.append(control_energy(preds, omega, 500, cfg,
                                            schedule).per_segment_transient[k])
             coarse = grid[::1000][int(np.argmin(vals))]
             lo, hi = max(coarse - 0.02, 0.0), min(coarse + 0.02, 1.0)
@@ -233,7 +229,7 @@ class TestClosedFormOracle:
             vals = []
             for g in fine:
                 omega[k] = g
-                vals.append(control_energy(x, preds, omega, 500, cfg,
+                vals.append(control_energy(preds, omega, 500, cfg,
                                            schedule).per_segment_transient[k])
             best = fine[int(np.argmin(vals))]
             assert abs(best - omega_star[k]) < 1e-5
@@ -242,7 +238,7 @@ class TestClosedFormOracle:
         uncond = rng.normal(size=(4, 16, 4))
         d = rng.normal(size=(4, 16, 4))
         preds = SegmentPredictions(uncond - d, uncond + d, uncond.copy())
-        omega = closed_form_oracle(preds, uncond, 500,
+        omega = closed_form_oracle(preds, 500,
                                    ControlConfig(terminal_weight=0.0),
                                    schedule)
         np.testing.assert_allclose(omega[1:-1], 0.5, atol=1e-10)
@@ -252,11 +248,11 @@ class TestClosedFormOracle:
         opt = OptimizerConfig(steps=500, lr=0.1)
         done = 0
         while done < 5:
-            preds, x = interior_instance(rng, 4)
-            omega_star = closed_form_oracle(preds, x, 450, cfg, schedule)
+            preds = interior_instance(rng, 4)
+            omega_star = closed_form_oracle(preds, 450, cfg, schedule)
             u = omega_star[1:-1]
             if not np.all((u > 0.05) & (u < 0.95)):
                 continue
-            m = optimize_mixing(preds, x, 450, opt, cfg, schedule)
+            m = optimize_mixing(preds, 450, opt, cfg, schedule)
             assert np.max(np.abs(m.omega - omega_star)) < 1e-4
             done += 1

@@ -1,11 +1,14 @@
 import json
 import re
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from pathmix import (ScenarioError, baseline_sample, evaluate, load_scenario,
-                     sample_clips, scenario_from_dict)
+from pathmix import (ControlConfig, OptimizerConfig, ScenarioError,
+                     baseline_sample, evaluate, load_scenario, sample_clips,
+                     scenario_from_dict)
 from pathmix.mixtures import Condition
 from pathmix.scenario import export_comparison_table, write_run
 
@@ -77,6 +80,19 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match=re.escape(named)):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("raw,named", [
+        ({"control": {"w_T": 10 ** 400}}, "control.w_T"),
+        ({"domains": {"c0": {"kind": "components", "components": [
+            {"weight": 0, "mean": 0}]}}}, "c0"),
+        ({"domains": {"c1": {"kind": "components", "components": [
+            {"weight": 1, "mean": 0}, {"weight": -0.5, "mean": 1}]}}}, "c1")],
+        ids=["huge-integer", "zero-weights", "negative-weight"])
+    def test_out_of_range_values_rejected(self, raw, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match=re.escape(named)):
+                scenario_from_dict(raw)
+
     def test_integral_float_counts_as_integer(self):
         sc = scenario_from_dict({"layout": {"K": 6.0}})
         assert sc.layout.K == 6 and isinstance(sc.layout.K, int)
@@ -102,6 +118,30 @@ class TestScenarioLoading:
         a = scenario_from_dict({})
         b = scenario_from_dict({"seed": 1})
         assert a.fingerprint != b.fingerprint
+
+
+# config field -> its scenario section, key and a value other than the default
+SCENARIO_KEYS = {
+    "steps": ("optimizer", "J", 7),
+    "lr": ("optimizer", "lr", 0.05),
+    "warm_start": ("optimizer", "warm_start", False),
+    "terminal_weight": ("control", "w_T", 2.5),
+    "lambda_mode": ("control", "lambda_mode", "unit"),
+    "sigmoid_sharpness": ("control", "sigmoid_sharpness", 4.0),
+}
+
+
+@pytest.mark.parametrize("config,attr", [(OptimizerConfig, "optimizer"),
+                                         (ControlConfig, "control")])
+def test_every_config_field_is_settable_from_the_scenario(config, attr):
+    default = getattr(scenario_from_dict({}), attr)
+    for field in fields(config):
+        assert field.name in SCENARIO_KEYS, \
+            f"{config.__name__}.{field.name} has no scenario key"
+        section, key, value = SCENARIO_KEYS[field.name]
+        assert getattr(default, field.name) != value
+        loaded = scenario_from_dict({section: {key: value}})
+        assert getattr(getattr(loaded, attr), field.name) == value
 
 
 class TestWriteRun:
