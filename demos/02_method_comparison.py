@@ -5,7 +5,7 @@ against class-balanced ground-truth clips, and prints a compact table of both
 Frechet distances, both diversities, and the peak control energy.  This is a
 small-scale version of what `pathmix compare` writes to CSV.
 
-Run with: python3 demos/02_method_comparison.py  (about a minute)
+Run with: python3 demos/02_method_comparison.py  (a few seconds)
 """
 
 import numpy as np

@@ -15,8 +15,7 @@ from .mixtures import (Condition, ConditionModel, GaussianMixture,
                        domain_log_likelihood, make_condition_model,
                        marginal_log_density, predict_x0, sample_clips)
 from .optim import (AdamState, MixingSchedule, OptimizerConfig, adam_update,
-                    closed_form_oracle, energy_gradient, init_mixing_latent,
-                    optimize_mixing)
+                    closed_form_oracle, energy_gradient, optimize_mixing)
 from .sampling import (RunResult, SegmentLayout, baseline_sample,
                        conditional_ddim_sample, initial_segment_noise,
                        optimized_sample)

@@ -83,9 +83,12 @@ def _method_clips(scenario: Scenario, method: str, n_runs: int) -> np.ndarray:
     return np.asarray(clips[:scenario.eval_n_clips])
 
 
-def _default_runs(scenario: Scenario) -> int:
-    # one run yields K sliding windows of the assembled sequence
-    return -(-scenario.eval_n_clips // scenario.layout.K)
+def _n_runs(args, scenario: Scenario) -> int:
+    if args.runs is None:  # one run yields K sliding windows of the sequence
+        return -(-scenario.eval_n_clips // scenario.layout.K)
+    if args.runs < 1:
+        raise InvalidConfigError(f"--runs must be >= 1, got {args.runs}")
+    return args.runs
 
 
 def cmd_generate(args) -> int:
@@ -98,8 +101,7 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     scenario = _scorable(_load(args))
-    n_runs = args.runs or _default_runs(scenario)
-    gen = _method_clips(scenario, args.method, n_runs)
+    gen = _method_clips(scenario, args.method, _n_runs(args, scenario))
     gt = _gt_clips(scenario, scenario.seed)
     report = evaluate(gen, gt, scenario.eval_n_pairs, scenario.seed)
     out = Path(args.out)
@@ -113,7 +115,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario = _scorable(_load(args))
-    n_runs = args.runs or _default_runs(scenario)
+    n_runs = _n_runs(args, scenario)
     gt = _gt_clips(scenario, scenario.seed)
     reports = {"ground_truth": evaluate(gt, gt, scenario.eval_n_pairs,
                                         scenario.seed)}

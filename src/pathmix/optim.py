@@ -10,7 +10,7 @@ gradient, the one Adam is fed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class MixingSchedule:
 
     z: np.ndarray
     omega: np.ndarray
-    step_trace: list = field(default_factory=list)  # [(omega, EnergyBreakdown)]
-    energy: EnergyBreakdown | None = None
+    step_trace: list  # [(omega, EnergyBreakdown)], one per iterate
+    energy: EnergyBreakdown
 
 
 @dataclass(frozen=True)
@@ -72,20 +72,13 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def pinned(u: np.ndarray) -> np.ndarray:
-    """The full mixing vector of interior values ``u``: [0, u..., 1]."""
-    return np.concatenate([[0.0], u, [1.0]])
+    """The mixing vectors [0, u..., 1] of interior values ``u`` (..., K-2)."""
+    edge = np.zeros(u.shape[:-1] + (1,))
+    return np.concatenate([edge, u, edge + 1.0], axis=-1)
 
 
 def omega_of_latent(z: np.ndarray) -> np.ndarray:
     return pinned(sigmoid(z))
-
-
-def init_mixing_latent(K: int) -> MixingSchedule:
-    """Uniform initialization: all interior omegas at 0.5 (z = 0)."""
-    if K < 2:
-        raise InvalidConfigError("need K >= 2 segments")
-    z = np.zeros(K - 2)
-    return MixingSchedule(z, omega_of_latent(z))
 
 
 def adam_update(state: AdamState, grad: np.ndarray,
@@ -116,10 +109,8 @@ class _QuadraticEnergy:
         self.w_T = control_config.terminal_weight
         self.q2, self.q1, self.q0 = transient_coefficients(
             preds, t, control_config, schedule)
-        n = K - 2
         # row 0: interior omega 0; row j + 1: the j-th interior basis vector
-        basis = np.vstack([np.zeros(n), np.eye(n)])
-        mixed = preds.mixed(np.stack([pinned(u) for u in basis]))
+        mixed = preds.mixed(pinned(np.eye(K - 1, K - 2, -1)))
         self.phi_const = stitch_cost(align_root(mixed[0], root_channel))
         grads = stitch_cost_aligned_gradient(
             mixed, preds.target - preds.source, root_channel)[:, 1:K - 1]
@@ -127,16 +118,18 @@ class _QuadraticEnergy:
         # C order: the summation order of phi_hess @ u depends on the layout
         self.phi_hess = np.ascontiguousarray((grads[1:] - grads[0]).T)
 
-    def breakdown(self, u: np.ndarray) -> tuple[np.ndarray, EnergyBreakdown]:
-        """The full omega of interior values ``u`` and its energy."""
+    def breakdown(self, u: np.ndarray) -> tuple[np.ndarray, list]:
+        """Omegas (J, K) of interior rows ``u`` (J, K-2) and their energies."""
         omega = pinned(u)
         per_seg = self.q2 * omega ** 2 + self.q1 * omega + self.q0
-        transient = float(per_seg.sum())
-        phi = (self.phi_const + self.phi_grad0 @ u
-               + 0.5 * u @ (self.phi_hess @ u))
-        terminal = self.w_T * phi
-        return omega, EnergyBreakdown(transient, terminal, transient + terminal,
-                                      per_seg)
+        # per-row matmul rounds as the 1-D dot does; U @ phi_grad0 does not
+        terminal = self.w_T * (
+            self.phi_const + (self.phi_grad0 @ u[:, :, None])[:, 0]
+            + (0.5 * u[:, None, :] @ (self.phi_hess @ u[:, :, None]))[:, 0, 0])
+        # each energy owns its row, so a kept one does not pin all J rows
+        return omega, [EnergyBreakdown(float(tr), f, tr + f, p.copy())
+                       for tr, f, p in zip(per_seg.sum(axis=-1), terminal,
+                                           per_seg)]
 
     def grad_interior(self, u: np.ndarray) -> np.ndarray:
         g = 2.0 * self.q2[1:self.K - 1] * u + self.q1[1:self.K - 1]
@@ -158,8 +151,6 @@ def energy_gradient(z: np.ndarray, preds: SegmentPredictions, t: int,
     K = preds.num_segments
     if z.shape != (K - 2,):
         raise ValueError(f"latent must have length {K - 2}")
-    if K == 2:
-        return np.zeros(0)
     quad = _QuadraticEnergy(preds, t, control_config, schedule, root_channel)
     grad = quad.grad_latent(sigmoid(z))
     if not np.all(np.isfinite(grad)):
@@ -174,9 +165,9 @@ def optimize_mixing(preds: SegmentPredictions, t: int,
                     z_init: np.ndarray | None = None) -> MixingSchedule:
     """Run J Adam steps on the latent and return the best iterate seen.
 
-    The trace records (omega, EnergyBreakdown) for the initialization and for
-    every Adam step, J+1 entries in total.  The returned iterate is the first
-    of lowest energy, so its energy never exceeds the initialization's.
+    Adam reads only the gradient; afterwards all J+1 iterates are scored at
+    once and traced as (omega, EnergyBreakdown).  The returned iterate is the
+    first of lowest energy, so its energy never exceeds the initialization's.
     """
     K = preds.num_segments
     z = np.zeros(K - 2) if z_init is None else np.asarray(z_init, dtype=np.float64)
@@ -184,21 +175,19 @@ def optimize_mixing(preds: SegmentPredictions, t: int,
         raise ValueError(f"latent must have length {K - 2}")
     quad = _QuadraticEnergy(preds, t, control_config, schedule, root_channel)
     state = AdamState.fresh(z)
-    trace = []
-    best = None
-    for j in range(opt_config.steps + 1):
-        u = sigmoid(state.z)
-        omega, energy = quad.breakdown(u)
-        if not np.isfinite(energy.total):
-            raise NumericError(f"non-finite energy at t={t}, inner step {j}")
-        trace.append((omega, energy))
-        # adam_update returns a new latent, so the iterate needs no copy
-        if best is None or energy.total < best[2].total:
-            best = (state.z, omega, energy)
-        if j == opt_config.steps:
-            break
-        state = adam_update(state, quad.grad_latent(u), opt_config)
-    return MixingSchedule(best[0], best[1], trace, best[2])
+    latents = [state.z]
+    for _ in range(opt_config.steps):
+        state = adam_update(state, quad.grad_latent(sigmoid(state.z)),
+                            opt_config)
+        latents.append(state.z)
+    omegas, energies = quad.breakdown(sigmoid(np.stack(latents)))
+    totals = np.array([e.total for e in energies])
+    if not np.all(np.isfinite(totals)):
+        j = int(np.argmin(np.isfinite(totals)))
+        raise NumericError(f"non-finite energy at t={t}, inner step {j}")
+    best = int(np.argmin(totals))
+    return MixingSchedule(latents[best], omegas[best],
+                          list(zip(omegas, energies)), energies[best])
 
 
 def closed_form_oracle(preds: SegmentPredictions, t: int,

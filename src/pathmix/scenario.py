@@ -175,6 +175,8 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer of more than 4300 digits
+        raise ScenarioError(f"{path}: {exc}") from exc
     return scenario_from_dict(raw)
 
 

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from pathmix import ControlConfig, SegmentPredictions, build_cosine_schedule
+from pathmix import (AdamState, ControlConfig, EnergyBreakdown, NumericError,
+                     OptimizerConfig, SegmentPredictions, adam_update,
+                     build_cosine_schedule, optimize_mixing)
 from pathmix.control import stitch_cost, stitch_cost_aligned_gradient
 from pathmix.mixtures import logsumexp
 from pathmix.optim import _QuadraticEnergy, sigmoid
@@ -92,6 +94,40 @@ def loop_terminal_model(preds, root_channel):
     return const, g0, hess
 
 
+def loop_optimize_mixing(preds, t, opt, cfg, schedule, z_init=None):
+    """The interleaved Adam loop: score each iterate on its own (1-D model),
+    check it is finite, keep the first of strictly lower energy, then step.
+    Returns (z, omega, energy) of the best iterate and the trace."""
+    quad = _QuadraticEnergy(preds, t, cfg, schedule)
+    K = preds.num_segments
+    state = AdamState.fresh(np.zeros(K - 2) if z_init is None else z_init)
+    trace, best = [], None
+    for j in range(opt.steps + 1):
+        u = sigmoid(state.z)
+        omega = np.concatenate([[0.0], u, [1.0]])
+        per_seg = quad.q2 * omega ** 2 + quad.q1 * omega + quad.q0
+        transient = float(per_seg.sum())
+        terminal = quad.w_T * (quad.phi_const + quad.phi_grad0 @ u
+                               + 0.5 * u @ (quad.phi_hess @ u))
+        energy = EnergyBreakdown(transient, terminal, transient + terminal,
+                                 per_seg)
+        if not np.isfinite(energy.total):
+            raise NumericError(f"non-finite energy at t={t}, inner step {j}")
+        trace.append((omega, energy))
+        if best is None or energy.total < best[2].total:
+            best = (state.z, omega, energy)
+        if j == opt.steps:
+            break
+        state = adam_update(state, quad.grad_latent(u), opt)
+    return best, trace
+
+
+def same_energy(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("transient", "terminal", "total",
+                         "per_segment_transient"))
+
+
 def random_stacks(rng, lead, K, S, C, scale):
     source = rng.normal(size=lead + (K, S, C))
     target = scale * rng.normal(size=lead + (K, S, C))
@@ -156,6 +192,33 @@ def test_sigmoid_matches_masked_form(rng):
     z = np.concatenate([rng.normal(scale=s, size=50) for s in (0.1, 3, 40)]
                        + [[0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300]])
     assert np.array_equal(sigmoid(z), loop_sigmoid(z))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 6, 16])
+@pytest.mark.parametrize("warm", [False, True])
+def test_optimize_mixing_matches_interleaved_loop(rng, K, warm):
+    schedule = build_cosine_schedule(1000)
+    cfg = ControlConfig()
+    for lr in (0.01, 0.3):
+        opt = OptimizerConfig(lr=lr)
+        for _ in range(6):
+            t = int(rng.integers(1, 1001))
+            source, target = rng.normal(size=(2, K, 16, 4))
+            levels = rng.uniform(size=(K, 1, 1))
+            uncond = ((1 - levels) * source + levels * target
+                      + 0.1 * rng.normal(size=(K, 16, 4)))
+            preds = SegmentPredictions(source, target, uncond)
+            z0 = rng.normal(scale=2.0, size=K - 2) if warm else None
+            (z, omega, energy), trace = loop_optimize_mixing(
+                preds, t, opt, cfg, schedule, z0)
+            m = optimize_mixing(preds, t, opt, cfg, schedule, z_init=z0)
+            assert np.array_equal(m.z, z) and np.array_equal(m.omega, omega)
+            assert same_energy(m.energy, energy)
+            assert len(m.step_trace) == len(trace) == opt.steps + 1
+            for (got_omega, got), (want_omega, want) in zip(m.step_trace,
+                                                            trace):
+                assert np.array_equal(got_omega, want_omega)
+                assert same_energy(got, want)
 
 
 class TestLogsumexp:

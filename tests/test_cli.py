@@ -92,6 +92,16 @@ class TestGenerate:
         assert main(["generate", "--scenario", str(bad), "--method", "mdpa",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_oversized_integer_exits_2(self, tmp_path, capsys):
+        # json.loads raises ValueError past 4300 digits, not JSONDecodeError
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"seed": ' + "1" * 5000 + "}")
+        assert main(["generate", "--scenario", str(bad), "--out",
+                     str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
+        assert not (tmp_path / "o").exists()
+
     def test_unscored_layout_still_generates(self, tmp_path):
         # only scoring needs C >= 2 and S >= 4
         path = tmp_path / "narrow.json"
@@ -138,6 +148,20 @@ class TestEvaluate:
         assert main([command, "--scenario", str(bad), "--runs", "1",
                      "--out", str(tmp_path / "o")]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_runs_below_one_rejected_before_sampling(
+            self, fast_scenario_path, tmp_path, capsys, monkeypatch, command,
+            runs):
+        def no_run(*args, **kwargs):
+            raise AssertionError("sampling ran")
+        for name in ("optimized_sample", "baseline_sample", "sample_clips"):
+            monkeypatch.setattr(f"pathmix.cli.{name}", no_run)
+        assert main([command, "--scenario", str(fast_scenario_path),
+                     "--runs", runs, "--out", str(tmp_path / "o")]) == 2
+        assert "--runs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pathmix import (AdamState, ControlConfig, InvalidConfigError,
-                     OptimizerConfig, SegmentPredictions, adam_update,
-                     closed_form_oracle, control_energy, energy_gradient,
-                     init_mixing_latent, optimize_mixing)
+                     NumericError, OptimizerConfig, SegmentPredictions,
+                     adam_update, closed_form_oracle, control_energy,
+                     energy_gradient, optimize_mixing)
 from pathmix.optim import omega_of_latent, sigmoid
 
 
@@ -27,23 +27,6 @@ def interior_instance(rng, K, S=16, C=4):
 
 
 class TestLatentParameterization:
-    def test_uniform_init(self):
-        m = init_mixing_latent(4)
-        np.testing.assert_array_equal(m.omega, [0.0, 0.5, 0.5, 1.0])
-        np.testing.assert_array_equal(m.z, [0.0, 0.0])
-
-    def test_no_interior(self):
-        m = init_mixing_latent(2)
-        np.testing.assert_array_equal(m.omega, [0.0, 1.0])
-        assert m.z.shape == (0,)
-
-    def test_single_interior(self):
-        assert init_mixing_latent(3).z.shape == (1,)
-
-    def test_invalid_k(self):
-        with pytest.raises(InvalidConfigError):
-            init_mixing_latent(1)
-
     def test_sigmoid_overflow_safe(self):
         z = np.array([-1000.0, 0.0, 1000.0])
         out = sigmoid(z)
@@ -139,6 +122,21 @@ class TestOptimizeMixing:
                             ControlConfig(), schedule)
         np.testing.assert_array_equal(m.omega, [0.0, 0.5, 0.5, 1.0])
         assert len(m.step_trace) == 1
+
+    def test_no_interior(self, schedule, rng):
+        preds = random_preds(rng, K=2)
+        m = optimize_mixing(preds, 400, OptimizerConfig(), ControlConfig(),
+                            schedule)
+        np.testing.assert_array_equal(m.omega, [0.0, 1.0])
+        assert m.z.shape == (0,)
+        assert len(m.step_trace) == OptimizerConfig().steps + 1
+
+    def test_non_finite_energy_names_inner_step(self, schedule, rng):
+        preds = interior_instance(rng, 4)
+        preds.uncond[1, 3, 0] = np.nan
+        with pytest.raises(NumericError, match=r"t=400, inner step 0$"):
+            optimize_mixing(preds, 400, OptimizerConfig(), ControlConfig(),
+                            schedule)
 
     def test_trace_length_and_pins(self, schedule, rng):
         preds = interior_instance(rng, 4)
