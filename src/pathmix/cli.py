@@ -19,8 +19,9 @@ from .errors import InvalidConfigError, NumericError, ScenarioError
 from .metrics import evaluate
 from .mixtures import Condition, sample_clips
 from .sampling import BASELINE_KINDS, baseline_sample, optimized_sample
-from .scenario import (METHOD_ORDER, Scenario, _fmt, export_comparison_table,
-                       load_scenario, scenario_from_dict, write_run)
+from .scenario import (METHOD_ORDER, Scenario, _write_csv,
+                       export_comparison_table, load_scenario,
+                       scenario_from_dict, write_run)
 from .segments import slice_windows
 
 METHODS = ("mdpa",) + BASELINE_KINDS
@@ -173,10 +174,8 @@ def cmd_sweep(args) -> int:
         write_run(result, None, run_dir)
         max_energy = max(e.total for e in result.energy_trace)
         final_energy = result.energy_trace[-1].total
-        rows.append((value, max_energy, final_energy, result.wall_time))
-    lines = [f"{key},max_energy,final_energy,wall_time"]
-    lines += [",".join(_fmt(c) for c in row) for row in rows]
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
+        rows.append((value, max_energy, final_energy))
+    _write_csv(out / "summary.csv", [key, "max_energy", "final_energy"], rows)
     print(f"wrote {out / 'summary.csv'} ({len(values)} runs)")
     return 0
 

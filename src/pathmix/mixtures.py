@@ -129,7 +129,7 @@ def _finite(spec: dict, key: str, where: str, default=None, shape=()):
     value = spec.get(key, default)
     try:
         array = np.broadcast_to(np.asarray(value, dtype=np.float64), shape)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # e.g. a 400-digit int
         array = np.array(np.nan)
     if isinstance(value, (bool, str)) or not np.all(np.isfinite(array)):
         raise InvalidConfigError(

@@ -185,6 +185,8 @@ def optimize_mixing(preds: SegmentPredictions, t: int,
     if not np.all(np.isfinite(totals)):
         j = int(np.argmin(np.isfinite(totals)))
         raise NumericError(f"non-finite energy at t={t}, inner step {j}")
+    if not np.all(np.isfinite(state.v)):  # every later Adam step was zero
+        raise NumericError(f"Adam second moment overflowed at t={t}")
     best = int(np.argmin(totals))
     return MixingSchedule(latents[best], omegas[best],
                           list(zip(omegas, energies)), energies[best])

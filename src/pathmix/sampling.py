@@ -25,6 +25,11 @@ from .segments import align_root, assemble_crossfade, hard_stitch_project
 
 BASELINE_KINDS = ("linear", "sigmoid", "sine")
 
+# Largest (K-1)*K*S*C allowed: the float64 count of the basis stack that the
+# per-step energy model builds, here 2**24 values or 128 MiB.  Checked before
+# anything of the layout's size is allocated.
+MAX_LAYOUT_VALUES = 2 ** 24
+
 
 @dataclass(frozen=True)
 class SegmentLayout:
@@ -42,6 +47,11 @@ class SegmentLayout:
             raise InvalidConfigError("C must be >= 1")
         if not 0 <= self.root_channel < self.C:
             raise InvalidConfigError("root_channel out of range")
+        size = (self.K - 1) * self.K * self.S * self.C
+        if size > MAX_LAYOUT_VALUES:
+            raise InvalidConfigError(
+                f"layout.K, layout.S and layout.C give (K-1)*K*S*C = {size} "
+                f"values, more than the bound of {MAX_LAYOUT_VALUES}")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Scenarios are JSON; run artifacts are a JSON manifest plus CSV tables for the
 sampled tensors and traces.  All floats are serialized with 17 significant
-digits so the text round-trips 64-bit values exactly; the only
-non-deterministic output is the ``created_at`` timestamp inside the manifest.
+digits so the text round-trips 64-bit values exactly; only the manifest's
+``wall_time`` and ``created_at`` vary between equal runs.
 """
 
 from __future__ import annotations
@@ -45,8 +45,10 @@ METHOD_ORDER = ("ground_truth", "linear", "sigmoid", "sine", "mdpa")
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario; build one with ``scenario_from_dict``, which also
+    fills ``values`` so that it always agrees with the typed fields."""
+
     layout: SegmentLayout
-    domains: dict
     total_steps: int    # T
     ddim_steps: int     # N
     optimizer: OptimizerConfig
@@ -54,6 +56,7 @@ class Scenario:
     eval_n_clips: int
     eval_n_pairs: int
     seed: int
+    values: str         # the merged, typed scenario as canonical JSON
 
     def __post_init__(self):
         if self.seed < 0:
@@ -67,7 +70,7 @@ class Scenario:
         return select_ddim_timesteps(schedule, self.ddim_steps)
 
     def build_model(self) -> ConditionModel:
-        spec = dict(self.domains)
+        spec = self.to_dict()["domains"]
         spec["S"], spec["C"] = self.layout.S, self.layout.C
         return make_condition_model(spec)
 
@@ -85,27 +88,12 @@ class Scenario:
         return self.build_model()
 
     def to_dict(self) -> dict:
-        return {
-            "layout": {"K": self.layout.K, "S": self.layout.S,
-                       "C": self.layout.C,
-                       "root_channel": self.layout.root_channel},
-            "domains": self.domains,
-            "schedule": {"T": self.total_steps, "N": self.ddim_steps},
-            "optimizer": {"J": self.optimizer.steps, "lr": self.optimizer.lr,
-                          "warm_start": self.optimizer.warm_start},
-            "control": {"w_T": self.control.terminal_weight,
-                        "lambda_mode": self.control.lambda_mode,
-                        "sigmoid_sharpness": self.control.sigmoid_sharpness},
-            "eval": {"n_clips": self.eval_n_clips,
-                     "n_pairs": self.eval_n_pairs},
-            "seed": self.seed,
-        }
+        """A fresh copy of the scenario's values, safe to modify."""
+        return json.loads(self.values)
 
     @property
     def fingerprint(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return hashlib.sha256(self.values.encode()).hexdigest()
 
 
 def _typed(name: str, value, kind: type):
@@ -141,25 +129,24 @@ def _merge_section(name: str, raw: dict, defaults: dict) -> dict:
 
 def scenario_from_dict(raw: dict) -> Scenario:
     top = _merge_section("scenario", raw, DEFAULTS)
-    lay = _merge_section("layout", top["layout"], DEFAULTS["layout"])
-    dom = _merge_section("domains", top["domains"], DEFAULTS["domains"])
-    sch = _merge_section("schedule", top["schedule"], DEFAULTS["schedule"])
-    opt = _merge_section("optimizer", top["optimizer"], DEFAULTS["optimizer"])
-    ctl = _merge_section("control", top["control"], DEFAULTS["control"])
-    ev = _merge_section("eval", top["eval"], DEFAULTS["eval"])
+    for name, default in DEFAULTS.items():
+        if isinstance(default, dict):
+            top[name] = _merge_section(name, top[name], default)
+    lay, opt, ctl = top["layout"], top["optimizer"], top["control"]
     try:
         return Scenario(
             layout=SegmentLayout(lay["K"], lay["S"], lay["C"],
                                  lay["root_channel"]),
-            domains=dom,
-            total_steps=sch["T"], ddim_steps=sch["N"],
+            total_steps=top["schedule"]["T"], ddim_steps=top["schedule"]["N"],
             optimizer=OptimizerConfig(steps=opt["J"], lr=opt["lr"],
                                       warm_start=opt["warm_start"]),
             control=ControlConfig(terminal_weight=ctl["w_T"],
                                   lambda_mode=ctl["lambda_mode"],
                                   sigmoid_sharpness=ctl["sigmoid_sharpness"]),
-            eval_n_clips=ev["n_clips"], eval_n_pairs=ev["n_pairs"],
+            eval_n_clips=top["eval"]["n_clips"],
+            eval_n_pairs=top["eval"]["n_pairs"],
             seed=top["seed"],
+            values=json.dumps(top, sort_keys=True, separators=(",", ":")),
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc

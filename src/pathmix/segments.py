@@ -68,17 +68,12 @@ def assemble_crossfade(segments: np.ndarray) -> np.ndarray:
     already agree the blend is an exact copy.
     """
     _check_stack(segments)
-    K, S, C = segments.shape
+    _, S, C = segments.shape
     half = S // 2
     ramp = (np.arange(half, dtype=np.float64) / half)[:, None]
-    out = np.zeros((S + (K - 1) * half, C))
-    out[:S] = segments[0]
-    for k in range(1, K):
-        start = k * half
-        out[start:start + half] = ((1.0 - ramp) * out[start:start + half]
-                                   + ramp * segments[k, :half])
-        out[start + half:start + S] = segments[k, half:]
-    return out
+    blends = (1.0 - ramp) * segments[:-1, half:] + ramp * segments[1:, :half]
+    return np.concatenate([segments[0, :half], blends.reshape(-1, C),
+                           segments[-1, half:]])
 
 
 def slice_windows(sequence: np.ndarray, S: int, stride: int) -> list[np.ndarray]:

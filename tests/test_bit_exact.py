@@ -20,7 +20,8 @@ from pathmix import (AdamState, ControlConfig, EnergyBreakdown, NumericError,
 from pathmix.control import stitch_cost, stitch_cost_aligned_gradient
 from pathmix.mixtures import logsumexp
 from pathmix.optim import _QuadraticEnergy, sigmoid
-from pathmix.segments import align_root, hard_stitch_project
+from pathmix.segments import (align_root, assemble_crossfade,
+                               hard_stitch_project)
 
 SHAPES = [(2, 2, 1, 0), (3, 16, 4, 0), (4, 16, 4, 2), (7, 10, 3, 1),
           (16, 16, 4, 0), (5, 40, 6, 5), (12, 4, 2, 1)]
@@ -39,6 +40,20 @@ def loop_align_root(segments, root_channel=0):
     for k in range(len(out) - 1):
         offset = out[k, -1, root_channel] - out[k + 1, 0, root_channel]
         out[k + 1, :, root_channel] += offset
+    return out
+
+
+def loop_assemble_crossfade(segments):
+    K, S, C = segments.shape
+    half = S // 2
+    ramp = (np.arange(half, dtype=np.float64) / half)[:, None]
+    out = np.zeros((S + (K - 1) * half, C))
+    out[:S] = segments[0]
+    for k in range(1, K):
+        start = k * half
+        out[start:start + half] = ((1.0 - ramp) * out[start:start + half]
+                                   + ramp * segments[k, :half])
+        out[start + half:start + S] = segments[k, half:]
     return out
 
 
@@ -145,6 +160,12 @@ class TestSegmentKernels:
             x = scale * rng.normal(size=(K, S, C))
             assert np.array_equal(hard_stitch_project(x),
                                   loop_hard_stitch_project(x))
+
+    def test_assemble_crossfade(self, rng, K, S, C, root):
+        for scale in (1.0, 1e-3, 1e6, 1e-300, 1e300):
+            x = scale * rng.normal(size=(K, S, C))
+            assert np.array_equal(assemble_crossfade(x),
+                                  loop_assemble_crossfade(x))
 
     def test_align_root(self, rng, K, S, C, root):
         for scale in (1.0, 1e-3, 1e6):

@@ -92,6 +92,15 @@ class TestGenerate:
         assert main(["generate", "--scenario", str(bad), "--method", "mdpa",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_oversized_layout_exits_2(self, tmp_path, capsys):
+        # rejected by the layout size bound before any array is allocated
+        bad = tmp_path / "wide.json"
+        bad.write_text(json.dumps({"layout": {"S": 2 ** 40}}))
+        assert main(["generate", "--scenario", str(bad), "--out",
+                     str(tmp_path / "o")]) == 2
+        assert "layout.S" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_oversized_integer_exits_2(self, tmp_path, capsys):
         # json.loads raises ValueError past 4300 digits, not JSONDecodeError
         bad = tmp_path / "huge.json"
@@ -197,6 +206,14 @@ class TestSweep:
         lines = read_csv(out / "summary.csv")
         assert lines[0].startswith("w_T,")
         assert len(lines) == 3
+
+    def test_summary_deterministic(self, fast_scenario_path, tmp_path):
+        base = ["sweep", "--scenario", str(fast_scenario_path),
+                "--sweep", "w_T=0.5,2"]
+        assert main(base + ["--out", str(tmp_path / "a")]) == 0
+        assert main(base + ["--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "summary.csv").read_bytes()
+                == (tmp_path / "b" / "summary.csv").read_bytes())
 
     def test_bad_key_exits_2(self, fast_scenario_path, tmp_path):
         code = main(["sweep", "--scenario", str(fast_scenario_path),

@@ -138,6 +138,17 @@ class TestOptimizeMixing:
             optimize_mixing(preds, 400, OptimizerConfig(), ControlConfig(),
                             schedule)
 
+    def test_second_moment_overflow_names_step(self, schedule, rng):
+        # grad ** 2 overflows, so every Adam step would be zero and the
+        # initialization would come back as if it were optimal
+        preds = random_preds(rng, K=3)
+        huge = SegmentPredictions(1e100 * preds.source, 1e100 * preds.target,
+                                  1e100 * preds.uncond)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match=r"t=500"):
+            optimize_mixing(huge, 500, OptimizerConfig(), ControlConfig(),
+                            schedule, z_init=np.array([0.3]))
+
     def test_trace_length_and_pins(self, schedule, rng):
         preds = interior_instance(rng, 4)
         m = optimize_mixing(preds, 400, OptimizerConfig(steps=20, lr=0.01),

@@ -5,6 +5,7 @@ from pathmix import (Condition, InvalidConfigError, SegmentLayout,
                      baseline_sample, conditional_ddim_sample,
                      initial_segment_noise, make_condition_model,
                      optimized_sample, scenario_from_dict)
+from pathmix.sampling import MAX_LAYOUT_VALUES
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,13 @@ class TestLayout:
             SegmentLayout(4, 15, 4)
         with pytest.raises(InvalidConfigError):
             SegmentLayout(4, 16, 4, root_channel=4)
+
+    def test_size_bound(self):
+        # (K-1)*K*S*C is even, so 4 past the bound is the nearest step past it
+        SegmentLayout(2, MAX_LAYOUT_VALUES // 2, 1)
+        with pytest.raises(InvalidConfigError,
+                           match=r"layout\.K, layout\.S and layout\.C"):
+            SegmentLayout(2, MAX_LAYOUT_VALUES // 2 + 2, 1)
 
 
 class TestInitialNoise:

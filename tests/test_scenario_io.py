@@ -82,11 +82,15 @@ class TestScenarioLoading:
 
     @pytest.mark.parametrize("raw,named", [
         ({"control": {"w_T": 10 ** 400}}, "control.w_T"),
+        ({"domains": {"c0": {"cycles": 10 ** 400}}}, "c0.cycles"),
+        ({"domains": {"c1": {"kind": "components", "components": [
+            {"weight": 1, "mean": [10 ** 400]}]}}}, "c1.components[0].mean"),
         ({"domains": {"c0": {"kind": "components", "components": [
             {"weight": 0, "mean": 0}]}}}, "c0"),
         ({"domains": {"c1": {"kind": "components", "components": [
             {"weight": 1, "mean": 0}, {"weight": -0.5, "mean": 1}]}}}, "c1")],
-        ids=["huge-integer", "zero-weights", "negative-weight"])
+        ids=["huge-integer", "huge-domain-integer", "huge-integer-in-list",
+             "zero-weights", "negative-weight"])
     def test_out_of_range_values_rejected(self, raw, named):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
