@@ -187,19 +187,25 @@ def make_condition_model(spec: dict) -> ConditionModel:
                           float(spec.get("p0", 0.5)))
 
 
-def _component_log_likelihoods(mix: GaussianMixture, x_t: np.ndarray,
-                               alpha_bar_t: float) -> np.ndarray:
-    """log[pi_m N(x_t; sqrt(a) mu_m, a v_m + 1 - a)] for every component.
+def _log_normals(mix: GaussianMixture, x_t: np.ndarray, alpha_bar_t: float):
+    """(d, s2, log N(x_t; sqrt(a) mu_m, s2)) per component, with
+    d = x_t - sqrt(a) mu_m and s2 = a v_m + 1 - a.
 
-    ``x_t`` may carry leading batch dimensions; the result has shape
-    batch + (M,).
+    ``x_t`` may carry leading batch dimensions; ``d`` has shape
+    batch + (M, S, C) and the log-densities batch + (M,).
     """
     a = alpha_bar_t
-    x = x_t[..., None, :, :]  # broadcast against components
+    d = x_t[..., None, :, :] - np.sqrt(a) * mix.means
     s2 = a * mix.variances + (1.0 - a)
-    log_n = -0.5 * np.sum((x - np.sqrt(a) * mix.means) ** 2 / s2
-                          + np.log(2.0 * np.pi * s2), axis=(-2, -1))
-    return np.log(mix.weights) + log_n
+    log_n = -0.5 * np.sum(d ** 2 / s2 + np.log(2.0 * np.pi * s2),
+                          axis=(-2, -1))
+    return d, s2, log_n
+
+
+def _component_log_likelihoods(mix: GaussianMixture, x_t: np.ndarray,
+                               alpha_bar_t: float) -> np.ndarray:
+    """log[pi_m N(x_t; sqrt(a) mu_m, a v_m + 1 - a)] for every component."""
+    return np.log(mix.weights) + _log_normals(mix, x_t, alpha_bar_t)[2]
 
 
 def marginal_log_density(model: ConditionModel, x_t: np.ndarray, t: int,
@@ -211,26 +217,42 @@ def marginal_log_density(model: ConditionModel, x_t: np.ndarray, t: int,
 
 
 def predict_x0(model: ConditionModel, x_t: np.ndarray, t: int,
-               cond: Condition, schedule: NoiseSchedule) -> np.ndarray:
+               cond: Condition | tuple, schedule: NoiseSchedule):
     """Exact posterior mean E[x_0 | x_t, cond] under the forward diffusion.
 
     Per component the posterior mean is
     mu + sqrt(a) v / (a v + 1 - a) * (x_t - sqrt(a) mu), combined with
     responsibilities proportional to pi_m N(x_t; sqrt(a) mu_m, a v_m + 1 - a)
     computed in log space.  Supports leading batch dimensions on ``x_t``.
+
+    ``cond`` may be a tuple of conditions, for which a tuple of means is
+    returned.  The null mixture's components are the source's followed by
+    the target's, so the per-component terms are computed once over it and
+    each condition reads its slice; the values equal separate calls.
     """
     if t < 1:
         raise ValueError("predict_x0 requires t >= 1")
     if not np.all(np.isfinite(x_t)):
         raise NumericError("x_t contains non-finite values")
-    mix = model.mixture(cond)
+    conds = cond if isinstance(cond, tuple) else (cond,)
+    if len(set(conds)) == 1:
+        mix, parts = model.mixture(conds[0]), {conds[0]: slice(None)}
+    else:
+        m0 = len(model.source.weights)
+        mix, parts = model.null, {Condition.SOURCE: slice(m0),
+                                  Condition.TARGET: slice(m0, None),
+                                  Condition.NULL: slice(None)}
     a = schedule.alpha_bar[t]
-    log_r = _component_log_likelihoods(mix, x_t, a)
-    resp = np.exp(log_r - logsumexp(log_r, axis=-1, keepdims=True))
-    s2 = a * mix.variances + (1.0 - a)
-    x = x_t[..., None, :, :]
-    post = mix.means + np.sqrt(a) * mix.variances / s2 * (x - np.sqrt(a) * mix.means)
-    return np.sum(resp[..., None, None] * post, axis=-3)
+    d, s2, log_n = _log_normals(mix, x_t, a)
+    post = mix.means + np.sqrt(a) * mix.variances / s2 * d
+    means = []
+    for c in conds:
+        part = parts[c]
+        log_r = np.log(model.mixture(c).weights) + log_n[..., part]
+        resp = np.exp(log_r - logsumexp(log_r, axis=-1, keepdims=True))
+        means.append(np.sum(resp[..., None, None] * post[..., part, :, :],
+                            axis=-3))
+    return tuple(means) if isinstance(cond, tuple) else means[0]
 
 
 def sample_clips(model: ConditionModel, cond: Condition, n: int,

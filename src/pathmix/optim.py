@@ -10,7 +10,9 @@ gradient, the one Adam is fed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,12 +46,30 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class MixingSchedule:
-    """Optimized mixing state: latent z, omega, its energy and the trace."""
+    """Optimized mixing state: latent z, omega and energy of the best
+    iterate, whose index is ``best``; ``scores`` holds the (omega,
+    per-segment transient, transient, terminal) arrays of all iterates."""
 
     z: np.ndarray
     omega: np.ndarray
-    step_trace: list  # [(omega, EnergyBreakdown)], one per iterate
     energy: EnergyBreakdown
+    best: int
+    scores: tuple
+
+    @cached_property
+    def step_trace(self) -> list:
+        """[(omega, EnergyBreakdown)], one per iterate, built on first use."""
+        return [(omega, self.energy if j == self.best
+                 else _energy_of(self.scores, j))
+                for j, omega in enumerate(self.scores[0])]
+
+
+def _energy_of(scores: tuple, j: int) -> EnergyBreakdown:
+    """The energy of iterate ``j``; it owns its row, so that keeping it does
+    not pin the scores of all iterates."""
+    _, per_seg, transient, terminal = scores
+    return EnergyBreakdown(float(transient[j]), terminal[j],
+                           transient[j] + terminal[j], per_seg[j].copy())
 
 
 @dataclass(frozen=True)
@@ -118,18 +138,16 @@ class _QuadraticEnergy:
         # C order: the summation order of phi_hess @ u depends on the layout
         self.phi_hess = np.ascontiguousarray((grads[1:] - grads[0]).T)
 
-    def breakdown(self, u: np.ndarray) -> tuple[np.ndarray, list]:
-        """Omegas (J, K) of interior rows ``u`` (J, K-2) and their energies."""
+    def score(self, u: np.ndarray) -> tuple:
+        """(omega, per-segment transient, transient, terminal) of interior
+        rows ``u`` (J, K-2), one row or entry per row of ``u``."""
         omega = pinned(u)
         per_seg = self.q2 * omega ** 2 + self.q1 * omega + self.q0
         # per-row matmul rounds as the 1-D dot does; U @ phi_grad0 does not
         terminal = self.w_T * (
             self.phi_const + (self.phi_grad0 @ u[:, :, None])[:, 0]
             + (0.5 * u[:, None, :] @ (self.phi_hess @ u[:, :, None]))[:, 0, 0])
-        # each energy owns its row, so a kept one does not pin all J rows
-        return omega, [EnergyBreakdown(float(tr), f, tr + f, p.copy())
-                       for tr, f, p in zip(per_seg.sum(axis=-1), terminal,
-                                           per_seg)]
+        return omega, per_seg, per_seg.sum(axis=-1), terminal
 
     def grad_interior(self, u: np.ndarray) -> np.ndarray:
         g = 2.0 * self.q2[1:self.K - 1] * u + self.q1[1:self.K - 1]
@@ -166,30 +184,49 @@ def optimize_mixing(preds: SegmentPredictions, t: int,
     """Run J Adam steps on the latent and return the best iterate seen.
 
     Adam reads only the gradient; afterwards all J+1 iterates are scored at
-    once and traced as (omega, EnergyBreakdown).  The returned iterate is the
-    first of lowest energy, so its energy never exceeds the initialization's.
+    once.  The returned iterate is the first of lowest energy, so its energy
+    never exceeds the initialization's.
+
+    The loop runs ``sigmoid``, ``grad_latent`` and ``adam_update`` element by
+    element on Python floats, in their order of arithmetic; only ``exp`` and
+    the gemv ``phi_hess @ u``, whose rounding numpy and BLAS set, stay in
+    numpy, so the iterates are those of the array functions bit for bit.
     """
     K = preds.num_segments
     z = np.zeros(K - 2) if z_init is None else np.asarray(z_init, dtype=np.float64)
     if z.shape != (K - 2,):
         raise ValueError(f"latent must have length {K - 2}")
     quad = _QuadraticEnergy(preds, t, control_config, schedule, root_channel)
-    state = AdamState.fresh(z)
-    latents = [state.z]
-    for _ in range(opt_config.steps):
-        state = adam_update(state, quad.grad_latent(sigmoid(state.z)),
-                            opt_config)
-        latents.append(state.z)
-    omegas, energies = quad.breakdown(sigmoid(np.stack(latents)))
-    totals = np.array([e.total for e in energies])
+    b1, b2, lr = ADAM_BETA1, ADAM_BETA2, opt_config.lr
+    q2x2 = (2.0 * quad.q2[1:K - 1]).tolist()
+    q1, g0 = quad.q1[1:K - 1].tolist(), quad.phi_grad0.tolist()
+    w_T, hess = quad.w_T, quad.phi_hess
+    latents = np.empty((opt_config.steps + 1, K - 2))
+    latents[0] = z
+    zs = z.tolist()
+    m = [0.0] * (K - 2)
+    v = [0.0] * (K - 2)
+    for count in range(1, opt_config.steps + 1):
+        es = np.exp(-np.abs(latents[count - 1])).tolist()
+        us = [(1.0 if zi >= 0 else e) / (1.0 + e) for zi, e in zip(zs, es)]
+        hu = (hess @ np.array(us)).tolist()
+        c1, c2 = 1.0 - b1 ** count, 1.0 - b2 ** count
+        for i, u in enumerate(us):
+            g = (q2x2[i] * u + q1[i] + w_T * (g0[i] + hu[i])) * (u * (1.0 - u))
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            zs[i] -= (lr * (m[i] / c1)) / (math.sqrt(v[i] / c2) + ADAM_EPS)
+        latents[count] = zs
+    scores = quad.score(sigmoid(latents))
+    totals = scores[2] + scores[3]
     if not np.all(np.isfinite(totals)):
         j = int(np.argmin(np.isfinite(totals)))
         raise NumericError(f"non-finite energy at t={t}, inner step {j}")
-    if not np.all(np.isfinite(state.v)):  # every later Adam step was zero
+    if not all(map(math.isfinite, v)):  # every later Adam step was zero
         raise NumericError(f"Adam second moment overflowed at t={t}")
     best = int(np.argmin(totals))
-    return MixingSchedule(latents[best], omegas[best],
-                          list(zip(omegas, energies)), energies[best])
+    return MixingSchedule(latents[best].copy(), scores[0][best],
+                          _energy_of(scores, best), best, scores)
 
 
 def closed_form_oracle(preds: SegmentPredictions, t: int,

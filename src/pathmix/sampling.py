@@ -25,9 +25,13 @@ from .segments import align_root, assemble_crossfade, hard_stitch_project
 
 BASELINE_KINDS = ("linear", "sigmoid", "sine")
 
+# the order of SegmentPredictions' fields
+CONDITIONS = (Condition.SOURCE, Condition.TARGET, Condition.NULL)
+
 # Largest (K-1)*K*S*C allowed: the float64 count of the basis stack that the
 # per-step energy model builds, here 2**24 values or 128 MiB.  Checked before
-# anything of the layout's size is allocated.
+# anything of the layout's size is allocated.  The scenario loader bounds the
+# schedule's T+1 and the optimizer's (J+1)*K values by it too.
 MAX_LAYOUT_VALUES = 2 ** 24
 
 
@@ -99,11 +103,8 @@ def _run(scenario, seed: int, kind: str | None) -> RunResult:
     z_carry = None
     for n in range(plan.num_steps):
         t, t_next = int(plan.steps[n]), int(plan.steps[n + 1])
-        preds = SegmentPredictions(
-            predict_x0(model, x, t, Condition.SOURCE, schedule),
-            predict_x0(model, x, t, Condition.TARGET, schedule),
-            predict_x0(model, x, t, Condition.NULL, schedule),
-        )
+        preds = SegmentPredictions(*predict_x0(model, x, t, CONDITIONS,
+                                               schedule))
         if kind is None:
             mixing = optimize_mixing(preds, t, opt_cfg, ctl_cfg, schedule,
                                      root, z_init=z_carry)

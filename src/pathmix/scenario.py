@@ -23,7 +23,7 @@ from .errors import ScenarioError
 from .metrics import EvalReport
 from .mixtures import ConditionModel, make_condition_model
 from .optim import OptimizerConfig
-from .sampling import RunResult, SegmentLayout
+from .sampling import MAX_LAYOUT_VALUES, RunResult, SegmentLayout
 from .schedules import (NoiseSchedule, TimestepPlan, build_cosine_schedule,
                         select_ddim_timesteps)
 
@@ -127,17 +127,38 @@ def _merge_section(name: str, raw: dict, defaults: dict) -> dict:
     return merged
 
 
+def _check_steps(T: int, N: int, J: int, K: int):
+    """Range and size checks of the step counts, before anything of their
+    size is allocated: T+1 schedule values, (J+1)*K latent values per step."""
+    if T < 2:
+        raise ScenarioError(f"schedule.T must be >= 2, got {T}")
+    if T + 1 > MAX_LAYOUT_VALUES:
+        raise ScenarioError(f"schedule.T gives T+1 = {T + 1} values, more "
+                            f"than the bound of {MAX_LAYOUT_VALUES}")
+    if not 1 <= N <= T:
+        raise ScenarioError(f"schedule.N must lie in [1, T] = [1, {T}], "
+                            f"got {N}")
+    if J < 0:
+        raise ScenarioError(f"optimizer.J must be >= 0, got {J}")
+    if (J + 1) * K > MAX_LAYOUT_VALUES:
+        raise ScenarioError(
+            f"optimizer.J and layout.K give (J+1)*K = {(J + 1) * K} values, "
+            f"more than the bound of {MAX_LAYOUT_VALUES}")
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     top = _merge_section("scenario", raw, DEFAULTS)
     for name, default in DEFAULTS.items():
         if isinstance(default, dict):
             top[name] = _merge_section(name, top[name], default)
     lay, opt, ctl = top["layout"], top["optimizer"], top["control"]
+    T, N = top["schedule"]["T"], top["schedule"]["N"]
     try:
+        layout = SegmentLayout(lay["K"], lay["S"], lay["C"],
+                               lay["root_channel"])
+        _check_steps(T, N, opt["J"], layout.K)
         return Scenario(
-            layout=SegmentLayout(lay["K"], lay["S"], lay["C"],
-                                 lay["root_channel"]),
-            total_steps=top["schedule"]["T"], ddim_steps=top["schedule"]["N"],
+            layout=layout, total_steps=T, ddim_steps=N,
             optimizer=OptimizerConfig(steps=opt["J"], lr=opt["lr"],
                                       warm_start=opt["warm_start"]),
             control=ControlConfig(terminal_weight=ctl["w_T"],

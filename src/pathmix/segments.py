@@ -6,8 +6,6 @@ Consecutive segments overlap by S/2 frames in the assembled timeline.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidConfigError
@@ -45,18 +43,12 @@ def align_root(segments: np.ndarray, root_channel: int = 0) -> np.ndarray:
     if not 0 <= root_channel < segments.shape[-1]:
         raise InvalidConfigError(f"root channel {root_channel} out of range")
     out = segments.copy()
-    lead, K = segments.shape[:-3], segments.shape[-3]
-    rows = (math.prod(lead), K - 1)
-    firsts = segments[..., 1:, 0, root_channel].reshape(rows).tolist()
-    lasts = segments[..., :-1, -1, root_channel].reshape(rows).tolist()
-    offsets = []
-    for stack_lasts, stack_firsts in zip(lasts, firsts):
-        row = []   # offset of segment k+1; segment 0 is not shifted
-        for last, first in zip(stack_lasts, stack_firsts):
-            shifted_last = last + row[-1] if row else last
-            row.append(shifted_last - first)
-        offsets.append(row)
-    out[..., 1:, :, root_channel] += np.reshape(offsets, lead + (K - 1, 1))
+    firsts = segments[..., 1:, 0, root_channel]
+    lasts = segments[..., :-1, -1, root_channel]
+    offsets = lasts - firsts   # offset of segment k+1; final for k = 0
+    for k in range(1, offsets.shape[-1]):
+        offsets[..., k] = (lasts[..., k] + offsets[..., k - 1]) - firsts[..., k]
+    out[..., 1:, :, root_channel] += offsets[..., None]
     return out
 
 

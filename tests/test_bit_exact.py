@@ -16,10 +16,13 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from pathmix import (AdamState, ControlConfig, EnergyBreakdown, NumericError,
                      OptimizerConfig, SegmentPredictions, adam_update,
-                     build_cosine_schedule, optimize_mixing)
+                     build_cosine_schedule, optimize_mixing,
+                     select_ddim_timesteps)
 from pathmix.control import stitch_cost, stitch_cost_aligned_gradient
-from pathmix.mixtures import logsumexp
+from pathmix.mixtures import (Condition, ConditionModel, GaussianMixture,
+                              logsumexp, predict_x0)
 from pathmix.optim import _QuadraticEnergy, sigmoid
+from pathmix.sampling import CONDITIONS
 from pathmix.segments import (align_root, assemble_crossfade,
                                hard_stitch_project)
 
@@ -137,6 +140,28 @@ def loop_optimize_mixing(preds, t, opt, cfg, schedule, z_init=None):
     return best, trace
 
 
+def loop_predict_x0(model, x_t, t, cond, schedule):
+    """One condition's posterior mean, with its own likelihood pass."""
+    mix = model.mixture(cond)
+    a = schedule.alpha_bar[t]
+    x = x_t[..., None, :, :]
+    s2 = a * mix.variances + (1.0 - a)
+    log_r = np.log(mix.weights) - 0.5 * np.sum(
+        (x - np.sqrt(a) * mix.means) ** 2 / s2 + np.log(2.0 * np.pi * s2),
+        axis=(-2, -1))
+    resp = np.exp(log_r - logsumexp(log_r, axis=-1, keepdims=True))
+    post = mix.means + np.sqrt(a) * mix.variances / s2 * (x - np.sqrt(a) * mix.means)
+    return np.sum(resp[..., None, None] * post, axis=-3)
+
+
+def random_model(rng, m0, m1, S, C):
+    def mixture(m):
+        w = rng.uniform(0.1, 1.0, size=m)
+        return GaussianMixture(w / w.sum(), rng.normal(size=(m, S, C)),
+                               rng.uniform(0.01, 0.5, size=(m, S, C)))
+    return ConditionModel(mixture(m0), mixture(m1), rng.uniform(0.2, 0.8))
+
+
 def same_energy(a, b):
     return all(np.array_equal(getattr(a, f), getattr(b, f))
                for f in ("transient", "terminal", "total",
@@ -215,6 +240,34 @@ def test_sigmoid_matches_masked_form(rng):
     assert np.array_equal(sigmoid(z), loop_sigmoid(z))
 
 
+# warm starts where the sigmoid's branches, exp's underflow and u(1 - u)
+# meet their edges
+EDGE_LATENTS = [0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, 40.0, -40.0]
+
+
+@pytest.mark.parametrize("m0,m1", [(1, 1), (3, 5), (8, 8), (1, 7)])
+@pytest.mark.parametrize("lead", [(4,), (16,), (3, 5)])
+def test_predict_x0_one_pass_matches_single_conditions(rng, m0, m1, lead):
+    schedule = build_cosine_schedule(1000)
+    plan = select_ddim_timesteps(schedule, 50)
+    model = random_model(rng, m0, m1, 6, 3)
+    x = rng.normal(size=lead + (6, 3))
+    for t in plan.steps[:-1]:
+        t = int(t)
+        got = predict_x0(model, x, t, CONDITIONS, schedule)
+        assert len(got) == 3
+        for cond, mean in zip(CONDITIONS, got):
+            single = predict_x0(model, x, t, cond, schedule)
+            assert np.array_equal(mean, single)
+            assert np.array_equal(single,
+                                  loop_predict_x0(model, x, t, cond, schedule))
+        pair = predict_x0(model, x, t, (Condition.TARGET, Condition.SOURCE),
+                          schedule)
+        assert np.array_equal(pair[0], got[1])
+        assert np.array_equal(pair[1], got[0])
+        x = got[2] + 0.3 * rng.normal(size=x.shape)
+
+
 @pytest.mark.parametrize("K", [2, 3, 4, 6, 16])
 @pytest.mark.parametrize("warm", [False, True])
 def test_optimize_mixing_matches_interleaved_loop(rng, K, warm):
@@ -229,17 +282,22 @@ def test_optimize_mixing_matches_interleaved_loop(rng, K, warm):
             uncond = ((1 - levels) * source + levels * target
                       + 0.1 * rng.normal(size=(K, 16, 4)))
             preds = SegmentPredictions(source, target, uncond)
-            z0 = rng.normal(scale=2.0, size=K - 2) if warm else None
-            (z, omega, energy), trace = loop_optimize_mixing(
-                preds, t, opt, cfg, schedule, z0)
-            m = optimize_mixing(preds, t, opt, cfg, schedule, z_init=z0)
-            assert np.array_equal(m.z, z) and np.array_equal(m.omega, omega)
-            assert same_energy(m.energy, energy)
-            assert len(m.step_trace) == len(trace) == opt.steps + 1
-            for (got_omega, got), (want_omega, want) in zip(m.step_trace,
-                                                            trace):
-                assert np.array_equal(got_omega, want_omega)
-                assert same_energy(got, want)
+            starts = [rng.normal(scale=2.0, size=K - 2) if warm else None]
+            if warm:
+                starts += [np.full(K - 2, e) for e in EDGE_LATENTS]
+                starts.append(np.resize(EDGE_LATENTS, K - 2))
+            for z0 in starts:
+                (z, omega, energy), trace = loop_optimize_mixing(
+                    preds, t, opt, cfg, schedule, z0)
+                m = optimize_mixing(preds, t, opt, cfg, schedule, z_init=z0)
+                assert np.array_equal(m.z, z)
+                assert np.array_equal(m.omega, omega)
+                assert same_energy(m.energy, energy)
+                assert len(m.step_trace) == len(trace) == opt.steps + 1
+                for (got_omega, got), (want_omega, want) in zip(m.step_trace,
+                                                                trace):
+                    assert np.array_equal(got_omega, want_omega)
+                    assert same_energy(got, want)
 
 
 class TestLogsumexp:

@@ -101,6 +101,26 @@ class TestGenerate:
         assert "layout.S" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("raw,named", [
+        ({"schedule": {"T": -3}}, "schedule.T"),
+        ({"schedule": {"N": 0}}, "schedule.N"),
+        ({"optimizer": {"J": 10 ** 18}}, "optimizer.J"),
+        ({"schedule": {"T": 2 ** 40}}, "schedule.T"),
+    ], ids=["T-negative", "N-zero", "J-huge", "T-huge"])
+    def test_step_counts_range_checked_at_load(self, tmp_path, capsys,
+                                               monkeypatch, raw, named):
+        def no_run(*args, **kwargs):
+            raise AssertionError("sampling ran")
+        for name in ("optimized_sample", "baseline_sample"):
+            monkeypatch.setattr(f"pathmix.cli.{name}", no_run)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["generate", "--scenario", str(bad), "--out",
+                     str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not (tmp_path / "o").exists()
+
     def test_oversized_integer_exits_2(self, tmp_path, capsys):
         # json.loads raises ValueError past 4300 digits, not JSONDecodeError
         bad = tmp_path / "huge.json"

@@ -67,6 +67,7 @@ def domain_specs(draw):
 @st.composite
 def valid_scenarios(draw):
     C = draw(st.integers(1, 6))
+    T = draw(st.integers(2, 64))
     full = {
         "layout": {"K": draw(st.integers(2, 8).flatmap(
                        lambda n: st.sampled_from([n, float(n)]))),
@@ -74,8 +75,7 @@ def valid_scenarios(draw):
                    "root_channel": draw(st.integers(0, C - 1))},
         "domains": {"c0": draw(domain_specs()), "c1": draw(domain_specs()),
                     "p0": draw(st.floats(0.01, 0.99))},
-        "schedule": {"T": draw(st.integers(2, 64)),
-                     "N": draw(st.integers(1, 64))},
+        "schedule": {"T": T, "N": draw(st.integers(1, T))},
         "optimizer": {"J": draw(st.integers(0, 64)),
                       "lr": draw(st.floats(1e-4, 1)),
                       "warm_start": draw(st.booleans())},
@@ -95,6 +95,8 @@ def valid_scenarios(draw):
                 value = {k: v for k, v in value.items() if draw(st.booleans())}
                 if "root_channel" in value:
                     value["C"] = C
+                if "T" in value:  # N <= T, also for the default N
+                    value["N"] = full["schedule"]["N"]
             raw[name] = value
     return raw
 
