@@ -9,11 +9,10 @@ the unconstrained quadratic optimum sits at one representative step.
 Run with: python3 demos/03_terminal_weight_sweep.py
 """
 
-import numpy as np
-
-from pathmix import (Condition, ControlConfig, SegmentPredictions,
-                     closed_form_oracle, initial_segment_noise, optimized_sample,
-                     predict_x0, scenario_from_dict)
+from pathmix import (ControlConfig, SegmentPredictions, closed_form_oracle,
+                     initial_segment_noise, optimized_sample, predict_x0,
+                     scenario_from_dict)
+from pathmix.sampling import CONDITIONS
 
 print(f"{'w_T':>6}  final interior omegas   peak energy")
 for w_T in (0.0, 0.5, 1.0, 5.0, 20.0):
@@ -30,10 +29,7 @@ schedule = scenario.build_schedule()
 model = scenario.build_model()
 t = 500
 x_t = initial_segment_noise(scenario.layout, 3)  # stand-in noisy state
-preds = SegmentPredictions(
-    predict_x0(model, x_t, t, Condition.SOURCE, schedule),
-    predict_x0(model, x_t, t, Condition.TARGET, schedule),
-    predict_x0(model, x_t, t, Condition.NULL, schedule))
+preds = SegmentPredictions(*predict_x0(model, x_t, t, CONDITIONS, schedule))
 
 print(f"\nunconstrained quadratic optimum at t={t}:")
 for w_T in (0.1, 1.0, 10.0):

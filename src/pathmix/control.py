@@ -31,15 +31,18 @@ class ControlConfig:
     sigmoid_sharpness: float = 10.0
 
     def __post_init__(self):
-        for name in ("terminal_weight", "sigmoid_sharpness"):
+        for key, name in (("w_T", "terminal_weight"),
+                          ("sigmoid_sharpness", "sigmoid_sharpness")):
             if not np.isfinite(getattr(self, name)):
-                raise InvalidConfigError(f"{name} must be finite")
+                raise InvalidConfigError(f"control.{key}: {name} must be finite")
         if self.terminal_weight < 0:
-            raise InvalidConfigError("terminal_weight must be >= 0")
+            raise InvalidConfigError("control.w_T: terminal_weight must be >= 0")
         if self.lambda_mode not in ("posterior", "unit"):
-            raise InvalidConfigError(f"unknown lambda_mode {self.lambda_mode!r}")
+            raise InvalidConfigError("control.lambda_mode: unknown lambda_mode "
+                                     f"{self.lambda_mode!r}")
         if self.sigmoid_sharpness <= 0:
-            raise InvalidConfigError("sigmoid_sharpness must be > 0")
+            raise InvalidConfigError(
+                "control.sigmoid_sharpness: sigmoid_sharpness must be > 0")
 
 
 @dataclass(frozen=True)
@@ -139,12 +142,9 @@ def reverse_kl_check(eps_a: np.ndarray, eps_b: np.ndarray, t: int,
 
 def stitch_cost(x0hat_segments: np.ndarray) -> float:
     """Squared L2 distance between overlapping halves of adjacent segments."""
-    K, S = x0hat_segments.shape[:2]
+    S = x0hat_segments.shape[1]
     if S % 2 != 0:
         raise InvalidConfigError("segment length S must be even")
-    if K < 2:
-        log.warning("stitch_cost called with K=%d < 2; returning 0", K)
-        return 0.0
     half = S // 2
     diff = x0hat_segments[1:, :half] - x0hat_segments[:-1, half:]
     return float(np.sum(diff ** 2))

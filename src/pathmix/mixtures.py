@@ -10,7 +10,6 @@ model is the prior-weighted union of the two conditional mixtures.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +19,12 @@ from .errors import InvalidConfigError, NumericError
 from .schedules import NoiseSchedule
 
 VARIANCE_FLOOR = 1e-8
+
+# the scenario's domains defaults: each condition's toy spec and the prior p0
+DOMAIN_DEFAULTS = {"c0": {"kind": "toy", "cycles": 2.0, "root_drift": 0.5},
+                   "c1": {"kind": "toy", "cycles": 6.0, "root_drift": 1.5},
+                   "p0": 0.5}
+DEFAULT_VARIANCE = 0.05  # of a toy domain or a component entry
 
 
 def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False):
@@ -87,7 +92,8 @@ class ConditionModel:
         if self.source.shape != self.target.shape:
             raise InvalidConfigError("source/target shapes differ")
         if not 0.0 < self.source_prior < 1.0:
-            raise InvalidConfigError("source_prior must lie in (0, 1)")
+            raise InvalidConfigError(
+                "domains.p0: source_prior must lie in (0, 1)")
 
     @property
     def shape(self):
@@ -102,7 +108,8 @@ class ConditionModel:
 
     @cached_property
     def null(self) -> GaussianMixture:
-        """The prior-weighted union of both mixtures, built on first use."""
+        """The prior-weighted union of both mixtures, the source's components
+        first, built on first use."""
         p0 = self.source_prior
         return GaussianMixture(
             np.concatenate([p0 * self.source.weights,
@@ -110,6 +117,12 @@ class ConditionModel:
             np.concatenate([self.source.means, self.target.means]),
             np.concatenate([self.source.variances, self.target.variances]),
         )
+
+    def null_slice(self, cond: Condition) -> slice:
+        """Where ``cond``'s components sit among ``null``'s components."""
+        m0 = len(self.source.weights)
+        return {Condition.SOURCE: slice(m0), Condition.TARGET: slice(m0, None),
+                Condition.NULL: slice(None)}[cond]
 
 
 def _toy_mean(S: int, C: int, cycles: float, root_drift: float,
@@ -123,9 +136,10 @@ def _toy_mean(S: int, C: int, cycles: float, root_drift: float,
     return mean
 
 
-def _finite(spec: dict, key: str, where: str, default=None, shape=()):
-    """``spec[key]`` (or ``default``) as finite float64 broadcast to
-    ``shape``; otherwise an InvalidConfigError names where.key."""
+def _finite(spec: dict, key: str, where: str, default=None, shape=(),
+            least=-np.inf):
+    """``spec[key]`` (or ``default``) as finite float64 >= ``least``
+    broadcast to ``shape``; otherwise an InvalidConfigError names where.key."""
     value = spec.get(key, default)
     try:
         array = np.broadcast_to(np.asarray(value, dtype=np.float64), shape)
@@ -134,85 +148,104 @@ def _finite(spec: dict, key: str, where: str, default=None, shape=()):
     if isinstance(value, (bool, str)) or not np.all(np.isfinite(array)):
         raise InvalidConfigError(
             f"{where}.{key} must be a finite number (shape {shape})")
+    if np.any(array < least):
+        raise InvalidConfigError(f"{where}.{key} must be >= {least}")
     return array
 
 
-def _mixture_from_spec(spec: dict, S: int, C: int,
+def _known(spec: dict, keys: set, where: str):
+    """An InvalidConfigError naming where.key for each key not in ``keys``."""
+    unknown = sorted(set(spec) - keys)
+    if unknown:
+        raise InvalidConfigError("unknown key(s): " + ", ".join(
+            f"{where}.{key}" for key in unknown))
+
+
+def _mixture_from_spec(spec: dict, defaults: dict, S: int, C: int,
                        where: str) -> GaussianMixture:
     if not isinstance(spec, dict):
         raise InvalidConfigError(f"{where} must be an object, got {spec!r}")
     kind = spec.get("kind", "toy")
     if kind == "toy":
-        mean = _toy_mean(S, C, _finite(spec, "cycles", where, 2.0),
-                         _finite(spec, "root_drift", where, 0.5))
-        var = _finite(spec, "variance", where, 0.05)
+        spec = {**defaults, **spec}
+        _known(spec, {"kind", "cycles", "root_drift", "variance"}, where)
+        mean = _toy_mean(S, C, _finite(spec, "cycles", where),
+                         _finite(spec, "root_drift", where))
+        var = _finite(spec, "variance", where, DEFAULT_VARIANCE, (),
+                      VARIANCE_FLOOR)
         return GaussianMixture(np.array([1.0]), mean[None],
                                np.full((1, S, C), var))
     if kind == "components":
+        _known(spec, {"kind", "components"}, where)
         comps = spec.get("components", [])
         if not (isinstance(comps, list) and comps
                 and all(isinstance(c, dict) for c in comps)):
             raise InvalidConfigError(
                 f"{where}.components must be a non-empty list of objects")
         parts = [(c, f"{where}.components[{i}]") for i, c in enumerate(comps)]
+        for c, n in parts:
+            _known(c, {"weight", "mean", "variance"}, n)
         weights = np.array([_finite(c, "weight", n) for c, n in parts])
         if np.any(weights < 0) or not weights.sum() > 0:
             raise InvalidConfigError(
                 f"{where} component weights must be >= 0 with a positive sum")
         means = np.stack([_finite(c, "mean", n, None, (S, C)) for c, n in parts])
-        variances = np.stack([_finite(c, "variance", n, 0.05, (S, C))
-                              for c, n in parts])
+        variances = np.stack([_finite(c, "variance", n, DEFAULT_VARIANCE,
+                                      (S, C), VARIANCE_FLOOR) for c, n in parts])
         return GaussianMixture(weights / weights.sum(), means, variances)
-    raise InvalidConfigError(f"unknown domain kind {kind!r} in {where}")
+    raise InvalidConfigError(f"{where}.kind: unknown domain kind {kind!r}")
 
 
 def make_condition_model(spec: dict) -> ConditionModel:
-    """Build a ConditionModel from a domain-spec dict.
+    """Build a ConditionModel from a scenario's domains section plus S, C.
 
-    Expected keys: S, C, c0, c1 (domain specs), p0.  The default toy domains
-    put two low-frequency sinusoid cycles per segment in the source and six
-    in the target, equal variances 0.05, and distinct linear drifts on the
-    root channel so root alignment is non-trivial.  Whole cycle counts over
-    the half-segment overlap keep the sinusoids periodic across stitched
-    boundaries, so the stitch cost acts as a smoothness penalty rather than
-    favoring sign-flipped neighbors.
+    Keys: S, C, c0, c1 (domain specs), p0, each defaulting to its
+    DOMAIN_DEFAULTS entry; a toy spec's missing keys take its own domain's.
+    The default toy domains put two low-frequency sinusoid cycles per
+    segment in the source and six in the target, equal variances 0.05, and
+    distinct linear drifts on the root channel so root alignment is
+    non-trivial.  Whole cycle counts over the half-segment overlap keep the
+    sinusoids periodic across stitched boundaries, so the stitch cost acts
+    as a smoothness penalty rather than favoring sign-flipped neighbors.
     """
     S, C = int(spec["S"]), int(spec["C"])
     if S < 1 or C < 1:
         raise InvalidConfigError("S and C must be positive")
-    c0 = spec.get("c0", {"kind": "toy", "cycles": 2.0, "root_drift": 0.5})
-    c1 = spec.get("c1", {"kind": "toy", "cycles": 6.0, "root_drift": 1.5})
-    return ConditionModel(_mixture_from_spec(c0, S, C, "c0"),
-                          _mixture_from_spec(c1, S, C, "c1"),
-                          float(spec.get("p0", 0.5)))
+    source, target = (_mixture_from_spec(spec.get(name, {}),
+                                         DOMAIN_DEFAULTS[name], S, C,
+                                         f"domains.{name}")
+                      for name in ("c0", "c1"))
+    return ConditionModel(source, target,
+                          float(spec.get("p0", DOMAIN_DEFAULTS["p0"])))
 
 
-def _log_normals(mix: GaussianMixture, x_t: np.ndarray, alpha_bar_t: float):
-    """(d, s2, log N(x_t; sqrt(a) mu_m, s2)) per component, with
-    d = x_t - sqrt(a) mu_m and s2 = a v_m + 1 - a.
+def _component_terms(model: ConditionModel, x_t: np.ndarray,
+                     alpha_bar_t: float, conds: tuple):
+    """Per condition c in ``conds``: log[pi_m N(x_t; sqrt(a) mu_m, s2)] and
+    the posterior mean mu_m + sqrt(a) v_m / s2 * d of each of its
+    components, with d = x_t - sqrt(a) mu_m and s2 = a v_m + 1 - a.
 
-    ``x_t`` may carry leading batch dimensions; ``d`` has shape
-    batch + (M, S, C) and the log-densities batch + (M,).
+    The terms are computed once over the null mixture and c reads its slice
+    ``model.null_slice(c)``; they equal a pass over c's own mixture.
+    ``x_t`` may carry leading batch dimensions: the log-likelihoods have
+    shape batch + (M,) and the posterior means batch + (M, S, C).
     """
-    a = alpha_bar_t
+    a, mix = alpha_bar_t, model.null
     d = x_t[..., None, :, :] - np.sqrt(a) * mix.means
     s2 = a * mix.variances + (1.0 - a)
     log_n = -0.5 * np.sum(d ** 2 / s2 + np.log(2.0 * np.pi * s2),
                           axis=(-2, -1))
-    return d, s2, log_n
-
-
-def _component_log_likelihoods(mix: GaussianMixture, x_t: np.ndarray,
-                               alpha_bar_t: float) -> np.ndarray:
-    """log[pi_m N(x_t; sqrt(a) mu_m, a v_m + 1 - a)] for every component."""
-    return np.log(mix.weights) + _log_normals(mix, x_t, alpha_bar_t)[2]
+    post = mix.means + np.sqrt(a) * mix.variances / s2 * d
+    for c in conds:
+        part = model.null_slice(c)
+        yield (np.log(model.mixture(c).weights) + log_n[..., part],
+               post[..., part, :, :])
 
 
 def marginal_log_density(model: ConditionModel, x_t: np.ndarray, t: int,
                          cond: Condition, schedule: NoiseSchedule) -> np.ndarray:
     """Exact log-density of x_t under the noisy marginal at timestep t."""
-    ll = _component_log_likelihoods(model.mixture(cond), x_t,
-                                    schedule.alpha_bar[t])
+    ll, _ = next(_component_terms(model, x_t, schedule.alpha_bar[t], (cond,)))
     return logsumexp(ll, axis=-1)
 
 
@@ -226,32 +259,19 @@ def predict_x0(model: ConditionModel, x_t: np.ndarray, t: int,
     computed in log space.  Supports leading batch dimensions on ``x_t``.
 
     ``cond`` may be a tuple of conditions, for which a tuple of means is
-    returned.  The null mixture's components are the source's followed by
-    the target's, so the per-component terms are computed once over it and
-    each condition reads its slice; the values equal separate calls.
+    returned from one pass over the null mixture's components; the values
+    equal separate calls.
     """
     if t < 1:
         raise ValueError("predict_x0 requires t >= 1")
     if not np.all(np.isfinite(x_t)):
         raise NumericError("x_t contains non-finite values")
     conds = cond if isinstance(cond, tuple) else (cond,)
-    if len(set(conds)) == 1:
-        mix, parts = model.mixture(conds[0]), {conds[0]: slice(None)}
-    else:
-        m0 = len(model.source.weights)
-        mix, parts = model.null, {Condition.SOURCE: slice(m0),
-                                  Condition.TARGET: slice(m0, None),
-                                  Condition.NULL: slice(None)}
-    a = schedule.alpha_bar[t]
-    d, s2, log_n = _log_normals(mix, x_t, a)
-    post = mix.means + np.sqrt(a) * mix.variances / s2 * d
     means = []
-    for c in conds:
-        part = parts[c]
-        log_r = np.log(model.mixture(c).weights) + log_n[..., part]
+    for log_r, post in _component_terms(model, x_t, schedule.alpha_bar[t],
+                                        conds):
         resp = np.exp(log_r - logsumexp(log_r, axis=-1, keepdims=True))
-        means.append(np.sum(resp[..., None, None] * post[..., part, :, :],
-                            axis=-3))
+        means.append(np.sum(resp[..., None, None] * post, axis=-3))
     return tuple(means) if isinstance(cond, tuple) else means[0]
 
 
@@ -270,6 +290,5 @@ def sample_clips(model: ConditionModel, cond: Condition, n: int,
 def domain_log_likelihood(model: ConditionModel, clip: np.ndarray,
                           cond: Condition) -> float:
     """Exact mixture log-density of a clean clip under a condition."""
-    mix = model.mixture(cond)
-    ll = _component_log_likelihoods(mix, clip, 1.0)
+    ll, _ = next(_component_terms(model, clip, 1.0, (cond,)))
     return float(logsumexp(ll, axis=-1))

@@ -37,11 +37,11 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if not np.isfinite(self.lr):
-            raise InvalidConfigError("lr must be finite")
+            raise InvalidConfigError("optimizer.lr: lr must be finite")
         if self.steps < 0:
-            raise InvalidConfigError("steps must be >= 0")
+            raise InvalidConfigError("optimizer.J: steps must be >= 0")
         if self.lr <= 0:
-            raise InvalidConfigError("lr must be > 0")
+            raise InvalidConfigError("optimizer.lr: lr must be > 0")
 
 
 @dataclass(frozen=True)

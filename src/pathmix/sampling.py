@@ -44,13 +44,14 @@ class SegmentLayout:
 
     def __post_init__(self):
         if self.K < 2:
-            raise InvalidConfigError("K must be >= 2")
+            raise InvalidConfigError("layout.K: K must be >= 2")
         if self.S < 2 or self.S % 2 != 0:
-            raise InvalidConfigError("S must be even and >= 2")
+            raise InvalidConfigError("layout.S: S must be even and >= 2")
         if self.C < 1:
-            raise InvalidConfigError("C must be >= 1")
+            raise InvalidConfigError("layout.C: C must be >= 1")
         if not 0 <= self.root_channel < self.C:
-            raise InvalidConfigError("root_channel out of range")
+            raise InvalidConfigError(
+                "layout.root_channel: root_channel out of range")
         size = (self.K - 1) * self.K * self.S * self.C
         if size > MAX_LAYOUT_VALUES:
             raise InvalidConfigError(

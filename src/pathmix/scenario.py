@@ -21,7 +21,7 @@ import numpy as np
 from .control import ControlConfig
 from .errors import ScenarioError
 from .metrics import EvalReport
-from .mixtures import ConditionModel, make_condition_model
+from .mixtures import DOMAIN_DEFAULTS, ConditionModel, make_condition_model
 from .optim import OptimizerConfig
 from .sampling import MAX_LAYOUT_VALUES, RunResult, SegmentLayout
 from .schedules import (NoiseSchedule, TimestepPlan, build_cosine_schedule,
@@ -29,9 +29,7 @@ from .schedules import (NoiseSchedule, TimestepPlan, build_cosine_schedule,
 
 DEFAULTS = {
     "layout": {"K": 4, "S": 16, "C": 4, "root_channel": 0},
-    "domains": {"c0": {"kind": "toy", "cycles": 2.0, "root_drift": 0.5},
-                "c1": {"kind": "toy", "cycles": 6.0, "root_drift": 1.5},
-                "p0": 0.5},
+    "domains": DOMAIN_DEFAULTS,
     "schedule": {"T": 1000, "N": 50},
     "optimizer": {"J": 20, "lr": 0.01, "warm_start": True},
     "control": {"w_T": 1.0, "lambda_mode": "posterior",

@@ -72,7 +72,5 @@ def slice_windows(sequence: np.ndarray, S: int, stride: int) -> list[np.ndarray]
     """Fixed-length windows at offsets 0, stride, 2*stride, ...; tail dropped."""
     if S < 1 or stride < 1:
         raise InvalidConfigError("S and stride must be positive")
-    if len(sequence) < S:
-        return []
     return [sequence[o:o + S].copy()
             for o in range(0, len(sequence) - S + 1, stride)]

@@ -20,7 +20,8 @@ from pathmix import (AdamState, ControlConfig, EnergyBreakdown, NumericError,
                      select_ddim_timesteps)
 from pathmix.control import stitch_cost, stitch_cost_aligned_gradient
 from pathmix.mixtures import (Condition, ConditionModel, GaussianMixture,
-                              logsumexp, predict_x0)
+                              domain_log_likelihood, logsumexp,
+                              marginal_log_density, predict_x0)
 from pathmix.optim import _QuadraticEnergy, sigmoid
 from pathmix.sampling import CONDITIONS
 from pathmix.segments import (align_root, assemble_crossfade,
@@ -154,6 +155,17 @@ def loop_predict_x0(model, x_t, t, cond, schedule):
     return np.sum(resp[..., None, None] * post, axis=-3)
 
 
+def loop_log_density(model, x, a, cond):
+    """One condition's log-density of x diffused to alpha_bar a, with its own
+    likelihood pass."""
+    mix = model.mixture(cond)
+    s2 = a * mix.variances + (1.0 - a)
+    ll = np.log(mix.weights) - 0.5 * np.sum(
+        (x[..., None, :, :] - np.sqrt(a) * mix.means) ** 2 / s2
+        + np.log(2.0 * np.pi * s2), axis=(-2, -1))
+    return logsumexp(ll, axis=-1)
+
+
 def random_model(rng, m0, m1, S, C):
     def mixture(m):
         w = rng.uniform(0.1, 1.0, size=m)
@@ -261,6 +273,12 @@ def test_predict_x0_one_pass_matches_single_conditions(rng, m0, m1, lead):
             assert np.array_equal(mean, single)
             assert np.array_equal(single,
                                   loop_predict_x0(model, x, t, cond, schedule))
+            assert np.array_equal(
+                marginal_log_density(model, x, t, cond, schedule),
+                loop_log_density(model, x, schedule.alpha_bar[t], cond))
+            for clip in x.reshape(-1, 6, 3)[:2]:
+                assert (domain_log_likelihood(model, clip, cond)
+                        == loop_log_density(model, clip, 1.0, cond))
         pair = predict_x0(model, x, t, (Condition.TARGET, Condition.SOURCE),
                           schedule)
         assert np.array_equal(pair[0], got[1])

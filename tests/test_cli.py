@@ -19,6 +19,21 @@ def fast_scenario_path(tmp_path_factory):
     return path
 
 
+# a value outside its range for each checked scenario key
+OUT_OF_RANGE = {
+    "layout.K": {"layout": {"K": 1}},
+    "layout.S": {"layout": {"S": 15}},
+    "layout.C": {"layout": {"C": 0}},
+    "layout.root_channel": {"layout": {"root_channel": 4}},
+    "optimizer.lr": {"optimizer": {"lr": 0.0}},
+    "control.w_T": {"control": {"w_T": -1.0}},
+    "control.sigmoid_sharpness": {"control": {"sigmoid_sharpness": 0.0}},
+    "control.lambda_mode": {"control": {"lambda_mode": "bogus"}},
+    "domains.p0": {"domains": {"p0": 1.5}},
+    "domains.c0.variance": {"domains": {"c0": {"variance": 0.0}}},
+}
+
+
 def read_csv(path):
     return path.read_text().strip().splitlines()
 
@@ -82,6 +97,18 @@ class TestGenerate:
         bad.write_text(json.dumps(raw))
         assert main(["generate", "--scenario", str(bad), "--method", "mdpa",
                      "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("named,raw", list(OUT_OF_RANGE.items()),
+                             ids=list(OUT_OF_RANGE))
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, named,
+                                              raw):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["generate", "--scenario", str(bad), "--out",
+                     str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
         assert not (tmp_path / "o").exists()

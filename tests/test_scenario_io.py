@@ -88,14 +88,46 @@ class TestScenarioLoading:
         ({"domains": {"c0": {"kind": "components", "components": [
             {"weight": 0, "mean": 0}]}}}, "c0"),
         ({"domains": {"c1": {"kind": "components", "components": [
-            {"weight": 1, "mean": 0}, {"weight": -0.5, "mean": 1}]}}}, "c1")],
+            {"weight": 1, "mean": 0}, {"weight": -0.5, "mean": 1}]}}}, "c1"),
+        ({"domains": {"c1": {"kind": "components", "components": [
+            {"weight": 1, "mean": 0, "variance": 0.0}]}}},
+         "domains.c1.components[0].variance")],
         ids=["huge-integer", "huge-domain-integer", "huge-integer-in-list",
-             "zero-weights", "negative-weight"])
+             "zero-weights", "negative-weight", "zero-component-variance"])
     def test_out_of_range_values_rejected(self, raw, named):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ScenarioError, match=re.escape(named)):
                 scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("raw,named", [
+        ({"domains": {"c0": {"kind": "toy", "cyclez": 3}}}, "domains.c0.cyclez"),
+        ({"domains": {"c1": {"variance": 0.1, "drift": 1.0}}},
+         "domains.c1.drift"),
+        ({"domains": {"c0": {"kind": "components", "cycles": 2.0,
+                             "components": [{"weight": 1, "mean": 0}]}}},
+         "domains.c0.cycles"),
+        ({"domains": {"c1": {"kind": "components", "components": [
+            {"weight": 1, "mean": 0},
+            {"weight": 1, "mean": 1, "varaince": 0.1}]}}},
+         "domains.c1.components[1].varaince")],
+        ids=["toy", "partial-toy", "components", "component-entry"])
+    def test_unknown_domain_keys_rejected(self, raw, named):
+        with pytest.raises(ScenarioError, match=re.escape(named)):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("name,side", [("c0", "source"), ("c1", "target")])
+    def test_partial_toy_spec_takes_its_own_domains_defaults(self, name, side):
+        default = getattr(scenario_from_dict({}).model, side)
+        partial = {"domains": {name: {"variance": 0.1}}}
+        got = getattr(scenario_from_dict(partial).model, side)
+        np.testing.assert_array_equal(got.means, default.means)
+        np.testing.assert_array_equal(got.variances, np.full((1, 16, 4), 0.1))
+
+    def test_default_fingerprint_pinned(self):
+        # run manifests record it; the defaults' values must not drift
+        assert scenario_from_dict({}).fingerprint == (
+            "d538a6b122c75959e6e7e20d4f04794e0e6d9f1de0371c06791cb63d60aa28d3")
 
     def test_integral_float_counts_as_integer(self):
         sc = scenario_from_dict({"layout": {"K": 6.0}})
