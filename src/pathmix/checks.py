@@ -18,7 +18,7 @@ from .metrics import FeatureStats, frechet_distance, _psd_sqrt
 from .optim import (OptimizerConfig, closed_form_oracle, energy_gradient,
                     omega_of_latent, optimize_mixing)
 from .schedules import (build_cosine_schedule, eps_of_x0, forward_diffuse,
-                        select_ddim_timesteps, tweedie_x0)
+                        tweedie_x0)
 from .segments import hard_stitch_project
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,11 @@ class SegmentPredictions:
     @property
     def num_segments(self) -> int:
         return self.source.shape[0]
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        """d mixed_k / d omega_k, the target-source difference, (K, S, C)."""
+        return self.target - self.source
 
     def mixed(self, omega: np.ndarray) -> np.ndarray:
         """Mixed prediction stacks, (..., K, S, C), of mixing vectors (..., K)."""
@@ -147,7 +153,7 @@ def stitch_cost(x0hat_segments: np.ndarray) -> float:
         raise InvalidConfigError("segment length S must be even")
     half = S // 2
     diff = x0hat_segments[1:, :half] - x0hat_segments[:-1, half:]
-    return float(np.sum(diff ** 2))
+    return float((diff ** 2).sum())
 
 
 def heuristic_omega(kind: str, K: int, sharpness: float = 10.0) -> np.ndarray:
@@ -187,7 +193,7 @@ def control_energy(preds: SegmentPredictions, omega: np.ndarray, t: int,
     lam = lambda_weight(t, schedule, config.lambda_mode)
     c2 = _delta_coeff(t, schedule) ** 2
     mixed = preds.mixed(omega)
-    per_seg = lam * c2 * np.sum((preds.uncond - mixed) ** 2, axis=(1, 2))
+    per_seg = lam * c2 * ((preds.uncond - mixed) ** 2).sum(axis=(1, 2))
     transient = float(per_seg.sum())
     terminal = config.terminal_weight * stitch_cost(
         align_root(mixed, root_channel))
@@ -210,33 +216,31 @@ def transient_coefficients(preds: SegmentPredictions, t: int,
     lam = lambda_weight(t, schedule, config.lambda_mode)
     c2 = _delta_coeff(t, schedule) ** 2
     u = preds.uncond - preds.source           # deviation at omega = 0
-    w = preds.target - preds.source           # mixing direction
-    q2 = lam * c2 * np.sum(w ** 2, axis=(1, 2))
-    q1 = -2.0 * lam * c2 * np.sum(u * w, axis=(1, 2))
-    q0 = lam * c2 * np.sum(u ** 2, axis=(1, 2))
+    w = preds.directions                      # mixing direction
+    q2 = lam * c2 * (w ** 2).sum(axis=(1, 2))
+    q1 = -2.0 * lam * c2 * (u * w).sum(axis=(1, 2))
+    q0 = lam * c2 * (u ** 2).sum(axis=(1, 2))
     return q2, q1, q0
 
 
-def stitch_cost_aligned_gradient(mixed: np.ndarray, directions: np.ndarray,
+def stitch_cost_aligned_gradient(aligned: np.ndarray, directions: np.ndarray,
                                  root_channel: int = 0) -> np.ndarray:
-    """Gradient of stitch_cost(align_root(mixed)) with respect to omega.
+    """Gradient of stitch_cost(align_root(mixed)) with respect to omega, from
+    the root-aligned stack ``aligned = align_root(mixed, root_channel)``.
 
     ``directions[k]`` is d mixed_k / d omega_k (the target-source difference).
     Root-alignment offsets accumulate along segments, so earlier omegas leak
     into later segments through the root channel; the offset derivatives are
-    tracked explicitly.  Leading axes of ``mixed`` before (K, S, C) index
+    tracked explicitly.  Leading axes of ``aligned`` before (K, S, C) index
     independent stacks sharing ``directions``.
     """
-    K, S, C = mixed.shape[-3:]
+    K, S, C = aligned.shape[-3:]
     half = S // 2
-    aligned = align_root(mixed, root_channel)
     resid = aligned[..., 1:, :half, :] - aligned[..., :-1, half:, :]
     rows = resid.shape[:-2] + (half * C,)       # overlap k | k+1 per row
-    into_next = 2.0 * np.sum((resid * directions[1:, :half]).reshape(rows),
-                             axis=-1)
-    out_of_prev = 2.0 * np.sum((resid * directions[:-1, half:]).reshape(rows),
-                               axis=-1)
-    root_resid = 2.0 * np.sum(resid[..., root_channel], axis=-1)
+    into_next = 2.0 * (resid * directions[1:, :half]).reshape(rows).sum(-1)
+    out_of_prev = 2.0 * (resid * directions[:-1, half:]).reshape(rows).sum(-1)
+    root_resid = 2.0 * resid[..., root_channel].sum(axis=-1)
     # offset_k = sum_{j<k} (last root of aligned j - first root of j+1), so
     # d offset_k / d omega_j is last_j - first_j for 0 < j < k, last_0 for
     # j = 0 and -first_k for j = k.  ``own`` is d offset_k / d omega_k; the
@@ -245,7 +249,7 @@ def stitch_cost_aligned_gradient(mixed: np.ndarray, directions: np.ndarray,
     last = directions[:, S - 1, root_channel]
     own = np.concatenate(([0.0], 0.0 - first[1:]))
     d_own = (own[:-1] + last[:-1]) - own[:-1]  # offset_{k+1} - offset_k, omega_k
-    grad = np.zeros(mixed.shape[:-2])
+    grad = np.zeros(aligned.shape[:-2])
     grad[..., 1:] += into_next
     grad[..., 1:] += root_resid * own[1:]
     grad[..., :-1] -= out_of_prev

@@ -35,15 +35,15 @@ def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False):
     log1p(s) + log(m) + max; non-finite results fall back to the direct
     formula.  Matching that order bit for bit keeps sampled outputs identical.
     """
-    a_max = np.max(a, axis=axis, keepdims=True)
+    a_max = a.max(axis=axis, keepdims=True)
     is_max = a == a_max
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis,
-                   keepdims=True)
-        m = np.sum(is_max, axis=axis, keepdims=True, dtype=np.float64)
+        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axis,
+                                                            keepdims=True)
+        m = is_max.sum(axis=axis, keepdims=True, dtype=np.float64)
         out = np.log1p(s / m) + np.log(m) + a_max
-        if not np.all(np.isfinite(out)):
-            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+        if not np.isfinite(out).all():
+            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
             out = np.where(np.isfinite(out), out, direct)
     return out if keepdims else out.squeeze(axis)[()]
 
@@ -118,11 +118,15 @@ class ConditionModel:
             np.concatenate([self.source.variances, self.target.variances]),
         )
 
-    def null_slice(self, cond: Condition) -> slice:
-        """Where ``cond``'s components sit among ``null``'s components."""
+    @cached_property
+    def null_parts(self) -> dict:
+        """Per condition: where its components sit among ``null``'s
+        components, and the log of its weights; built on first use."""
         m0 = len(self.source.weights)
-        return {Condition.SOURCE: slice(m0), Condition.TARGET: slice(m0, None),
-                Condition.NULL: slice(None)}[cond]
+        return {cond: (part, np.log(self.mixture(cond).weights))
+                for cond, part in ((Condition.SOURCE, slice(m0)),
+                                   (Condition.TARGET, slice(m0, None)),
+                                   (Condition.NULL, slice(None)))}
 
 
 def _toy_mean(S: int, C: int, cycles: float, root_drift: float,
@@ -162,7 +166,7 @@ def _known(spec: dict, keys: set, where: str):
 
 
 def _mixture_from_spec(spec: dict, defaults: dict, S: int, C: int,
-                       where: str) -> GaussianMixture:
+                       root_channel: int, where: str) -> GaussianMixture:
     if not isinstance(spec, dict):
         raise InvalidConfigError(f"{where} must be an object, got {spec!r}")
     kind = spec.get("kind", "toy")
@@ -170,7 +174,7 @@ def _mixture_from_spec(spec: dict, defaults: dict, S: int, C: int,
         spec = {**defaults, **spec}
         _known(spec, {"kind", "cycles", "root_drift", "variance"}, where)
         mean = _toy_mean(S, C, _finite(spec, "cycles", where),
-                         _finite(spec, "root_drift", where))
+                         _finite(spec, "root_drift", where), root_channel)
         var = _finite(spec, "variance", where, DEFAULT_VARIANCE, (),
                       VARIANCE_FLOOR)
         return GaussianMixture(np.array([1.0]), mean[None],
@@ -199,8 +203,9 @@ def _mixture_from_spec(spec: dict, defaults: dict, S: int, C: int,
 def make_condition_model(spec: dict) -> ConditionModel:
     """Build a ConditionModel from a scenario's domains section plus S, C.
 
-    Keys: S, C, c0, c1 (domain specs), p0, each defaulting to its
-    DOMAIN_DEFAULTS entry; a toy spec's missing keys take its own domain's.
+    Keys: S, C, root_channel (default 0), c0, c1 (domain specs), p0, each
+    defaulting to its DOMAIN_DEFAULTS entry; a toy spec's missing keys take
+    its own domain's.
     The default toy domains put two low-frequency sinusoid cycles per
     segment in the source and six in the target, equal variances 0.05, and
     distinct linear drifts on the root channel so root alignment is
@@ -209,10 +214,13 @@ def make_condition_model(spec: dict) -> ConditionModel:
     as a smoothness penalty rather than favoring sign-flipped neighbors.
     """
     S, C = int(spec["S"]), int(spec["C"])
+    root = int(spec.get("root_channel", 0))
     if S < 1 or C < 1:
         raise InvalidConfigError("S and C must be positive")
+    if not 0 <= root < C:
+        raise InvalidConfigError(f"root channel {root} out of range")
     source, target = (_mixture_from_spec(spec.get(name, {}),
-                                         DOMAIN_DEFAULTS[name], S, C,
+                                         DOMAIN_DEFAULTS[name], S, C, root,
                                          f"domains.{name}")
                       for name in ("c0", "c1"))
     return ConditionModel(source, target,
@@ -226,20 +234,19 @@ def _component_terms(model: ConditionModel, x_t: np.ndarray,
     components, with d = x_t - sqrt(a) mu_m and s2 = a v_m + 1 - a.
 
     The terms are computed once over the null mixture and c reads its slice
-    ``model.null_slice(c)``; they equal a pass over c's own mixture.
+    ``model.null_parts[c]``; they equal a pass over c's own mixture.
     ``x_t`` may carry leading batch dimensions: the log-likelihoods have
     shape batch + (M,) and the posterior means batch + (M, S, C).
     """
     a, mix = alpha_bar_t, model.null
-    d = x_t[..., None, :, :] - np.sqrt(a) * mix.means
+    root_a = np.sqrt(a)
+    d = x_t[..., None, :, :] - root_a * mix.means
     s2 = a * mix.variances + (1.0 - a)
-    log_n = -0.5 * np.sum(d ** 2 / s2 + np.log(2.0 * np.pi * s2),
-                          axis=(-2, -1))
-    post = mix.means + np.sqrt(a) * mix.variances / s2 * d
+    log_n = -0.5 * (d ** 2 / s2 + np.log(2.0 * np.pi * s2)).sum(axis=(-2, -1))
+    post = mix.means + root_a * mix.variances / s2 * d
     for c in conds:
-        part = model.null_slice(c)
-        yield (np.log(model.mixture(c).weights) + log_n[..., part],
-               post[..., part, :, :])
+        part, log_weights = model.null_parts[c]
+        yield log_weights + log_n[..., part], post[..., part, :, :]
 
 
 def marginal_log_density(model: ConditionModel, x_t: np.ndarray, t: int,
@@ -264,14 +271,14 @@ def predict_x0(model: ConditionModel, x_t: np.ndarray, t: int,
     """
     if t < 1:
         raise ValueError("predict_x0 requires t >= 1")
-    if not np.all(np.isfinite(x_t)):
+    if not np.isfinite(x_t).all():
         raise NumericError("x_t contains non-finite values")
     conds = cond if isinstance(cond, tuple) else (cond,)
     means = []
     for log_r, post in _component_terms(model, x_t, schedule.alpha_bar[t],
                                         conds):
         resp = np.exp(log_r - logsumexp(log_r, axis=-1, keepdims=True))
-        means.append(np.sum(resp[..., None, None] * post, axis=-3))
+        means.append((resp[..., None, None] * post).sum(axis=-3))
     return tuple(means) if isinstance(cond, tuple) else means[0]
 
 

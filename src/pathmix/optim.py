@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -97,6 +97,15 @@ def pinned(u: np.ndarray) -> np.ndarray:
     return np.concatenate([edge, u, edge + 1.0], axis=-1)
 
 
+@lru_cache(maxsize=8)
+def _interior_basis(K: int) -> np.ndarray:
+    """Read-only (K-1, K) mixing vectors: row 0 has interior omega 0, row
+    j + 1 the j-th interior basis vector; built once per K."""
+    basis = pinned(np.eye(K - 1, K - 2, -1))
+    basis.flags.writeable = False
+    return basis
+
+
 def omega_of_latent(z: np.ndarray) -> np.ndarray:
     return pinned(sigmoid(z))
 
@@ -129,11 +138,10 @@ class _QuadraticEnergy:
         self.w_T = control_config.terminal_weight
         self.q2, self.q1, self.q0 = transient_coefficients(
             preds, t, control_config, schedule)
-        # row 0: interior omega 0; row j + 1: the j-th interior basis vector
-        mixed = preds.mixed(pinned(np.eye(K - 1, K - 2, -1)))
-        self.phi_const = stitch_cost(align_root(mixed[0], root_channel))
+        aligned = align_root(preds.mixed(_interior_basis(K)), root_channel)
+        self.phi_const = stitch_cost(aligned[0])
         grads = stitch_cost_aligned_gradient(
-            mixed, preds.target - preds.source, root_channel)[:, 1:K - 1]
+            aligned, preds.directions, root_channel)[:, 1:K - 1]
         self.phi_grad0 = grads[0]
         # C order: the summation order of phi_hess @ u depends on the layout
         self.phi_hess = np.ascontiguousarray((grads[1:] - grads[0]).T)
@@ -171,7 +179,7 @@ def energy_gradient(z: np.ndarray, preds: SegmentPredictions, t: int,
         raise ValueError(f"latent must have length {K - 2}")
     quad = _QuadraticEnergy(preds, t, control_config, schedule, root_channel)
     grad = quad.grad_latent(sigmoid(z))
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericError(f"non-finite gradient at t={t}")
     return grad
 
@@ -201,30 +209,30 @@ def optimize_mixing(preds: SegmentPredictions, t: int,
     q2x2 = (2.0 * quad.q2[1:K - 1]).tolist()
     q1, g0 = quad.q1[1:K - 1].tolist(), quad.phi_grad0.tolist()
     w_T, hess = quad.w_T, quad.phi_hess
-    latents = np.empty((opt_config.steps + 1, K - 2))
-    latents[0] = z
     zs = z.tolist()
+    rows = [zs.copy()]
     m = [0.0] * (K - 2)
     v = [0.0] * (K - 2)
     for count in range(1, opt_config.steps + 1):
-        es = np.exp(-np.abs(latents[count - 1])).tolist()
+        es = np.exp([-abs(zi) for zi in zs]).tolist()
         us = [(1.0 if zi >= 0 else e) / (1.0 + e) for zi, e in zip(zs, es)]
-        hu = (hess @ np.array(us)).tolist()
+        hu = hess.dot(us).tolist()
         c1, c2 = 1.0 - b1 ** count, 1.0 - b2 ** count
         for i, u in enumerate(us):
             g = (q2x2[i] * u + q1[i] + w_T * (g0[i] + hu[i])) * (u * (1.0 - u))
             m[i] = b1 * m[i] + (1.0 - b1) * g
             v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
             zs[i] -= (lr * (m[i] / c1)) / (math.sqrt(v[i] / c2) + ADAM_EPS)
-        latents[count] = zs
+        rows.append(zs.copy())
+    latents = np.array(rows)
     scores = quad.score(sigmoid(latents))
     totals = scores[2] + scores[3]
-    if not np.all(np.isfinite(totals)):
+    if not np.isfinite(totals).all():
         j = int(np.argmin(np.isfinite(totals)))
         raise NumericError(f"non-finite energy at t={t}, inner step {j}")
     if not all(map(math.isfinite, v)):  # every later Adam step was zero
         raise NumericError(f"Adam second moment overflowed at t={t}")
-    best = int(np.argmin(totals))
+    best = int(totals.argmin())
     return MixingSchedule(latents[best].copy(), scores[0][best],
                           _energy_of(scores, best), best, scores)
 

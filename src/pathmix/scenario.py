@@ -70,6 +70,7 @@ class Scenario:
     def build_model(self) -> ConditionModel:
         spec = self.to_dict()["domains"]
         spec["S"], spec["C"] = self.layout.S, self.layout.C
+        spec["root_channel"] = self.layout.root_channel
         return make_condition_model(spec)
 
     # Built once per scenario and shared by all of its runs.
@@ -115,8 +116,8 @@ def _merge_section(name: str, raw: dict, defaults: dict) -> dict:
         raise ScenarioError(f"{name!r} must be a JSON object, got {raw!r}")
     unknown = set(raw) - set(defaults)
     if unknown:
-        raise ScenarioError(
-            f"unknown key(s) in {name!r}: {', '.join(sorted(unknown))}")
+        raise ScenarioError("unknown key(s): " + ", ".join(
+            f"{name}.{key}" for key in sorted(unknown)))
     merged = dict(defaults)
     merged.update(raw)
     for key, default in defaults.items():

@@ -22,7 +22,7 @@ from pathmix.control import stitch_cost, stitch_cost_aligned_gradient
 from pathmix.mixtures import (Condition, ConditionModel, GaussianMixture,
                               domain_log_likelihood, logsumexp,
                               marginal_log_density, predict_x0)
-from pathmix.optim import _QuadraticEnergy, sigmoid
+from pathmix.optim import _QuadraticEnergy, _interior_basis, sigmoid
 from pathmix.sampling import CONDITIONS
 from pathmix.segments import (align_root, assemble_crossfade,
                                hard_stitch_project)
@@ -219,7 +219,8 @@ class TestSegmentKernels:
         for scale in (1.0, 1e-3, 1e6):
             mixed, dirs = random_stacks(rng, (), K, S, C, scale)
             assert np.array_equal(
-                stitch_cost_aligned_gradient(mixed, dirs, root),
+                stitch_cost_aligned_gradient(align_root(mixed, root), dirs,
+                                             root),
                 loop_stitch_cost_aligned_gradient(mixed, dirs, root))
 
     def test_stitch_cost_aligned_gradient_batched(self, rng, K, S, C, root):
@@ -227,8 +228,9 @@ class TestSegmentKernels:
         dirs = dirs[0]
         want = np.stack([loop_stitch_cost_aligned_gradient(m, dirs, root)
                          for m in mixed])
-        assert np.array_equal(stitch_cost_aligned_gradient(mixed, dirs, root),
-                              want)
+        assert np.array_equal(
+            stitch_cost_aligned_gradient(align_root(mixed, root), dirs, root),
+            want)
 
 
 @pytest.mark.parametrize("K,S,C,root", [s for s in SHAPES if s[0] >= 3])
@@ -244,6 +246,19 @@ def test_terminal_model_matches_per_column_build(rng, K, S, C, root):
     assert np.array_equal(quad.phi_hess, hess)
     u = rng.uniform(size=K - 2)
     assert np.array_equal(quad.phi_hess @ u, hess @ u)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 16])
+def test_interior_basis_is_read_only(K):
+    basis = _interior_basis(K)
+    assert basis is _interior_basis(K)
+    assert np.array_equal(basis, np.concatenate(
+        [np.zeros((K - 1, 1)), np.eye(K - 1, K - 2, -1), np.ones((K - 1, 1))],
+        axis=1))
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        basis += 0.0
 
 
 def test_sigmoid_matches_masked_form(rng):
@@ -284,6 +299,22 @@ def test_predict_x0_one_pass_matches_single_conditions(rng, m0, m1, lead):
         assert np.array_equal(pair[0], got[1])
         assert np.array_equal(pair[1], got[0])
         x = got[2] + 0.3 * rng.normal(size=x.shape)
+
+
+def test_predict_x0_alternating_models_keep_their_own_weights(rng):
+    # two models of equal shapes and component counts, different weights:
+    # a cache shared between them would give one model the other's
+    schedule = build_cosine_schedule(1000)
+    models = [random_model(rng, 3, 2, 6, 3) for _ in range(2)]
+    assert not np.array_equal(models[0].source.weights,
+                              models[1].source.weights)
+    x = rng.normal(size=(4, 6, 3))
+    for t in (900, 500, 100, 900):
+        for model in models + models[::-1]:
+            got = predict_x0(model, x, t, CONDITIONS, schedule)
+            for cond, mean in zip(CONDITIONS, got):
+                assert np.array_equal(
+                    mean, loop_predict_x0(model, x, t, cond, schedule))
 
 
 @pytest.mark.parametrize("K", [2, 3, 4, 6, 16])

@@ -89,8 +89,9 @@ class TestGenerate:
                              "components": [{"mean": 0.0}]}}},
          "c0.components[0].weight"),
         ({"domains": {"c0": {"kind": "toy", "cycles": "x"}}}, "c0.cycles"),
+        ({"optimizer": {"typo_key": 1}}, "optimizer.typo_key"),
     ], ids=["K-string", "layout-number", "component-without-weight",
-            "cycles-string"])
+            "cycles-string", "unknown-section-key"])
     def test_malformed_value_rejected_at_load(self, tmp_path, capsys, raw,
                                               named):
         bad = tmp_path / "bad.json"

@@ -4,8 +4,8 @@ from scipy.special import logsumexp
 
 from pathmix import (Condition, ConditionModel, GaussianMixture,
                      InvalidConfigError, domain_log_likelihood, eps_of_x0,
-                     forward_diffuse, make_condition_model,
-                     marginal_log_density, predict_x0, sample_clips)
+                     make_condition_model, marginal_log_density, predict_x0,
+                     sample_clips)
 
 
 def single_gaussian_model(S=4, C=2, mean=0.0, variance=1.0):
@@ -41,6 +41,11 @@ class TestConstruction:
             make_condition_model(
                 {"S": 4, "C": 2, "c0": {"kind": "components"},
                  "c1": {"kind": "toy"}})
+
+    @pytest.mark.parametrize("root", [-1, 2])
+    def test_root_channel_out_of_range_rejected(self, root):
+        with pytest.raises(InvalidConfigError, match="root channel"):
+            make_condition_model({"S": 4, "C": 2, "root_channel": root})
 
     def test_small_variance_rejected(self):
         with pytest.raises(InvalidConfigError):

@@ -40,10 +40,12 @@ class TestScenarioLoading:
             load_scenario(path)
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ScenarioError, match="typo_key"):
+        with pytest.raises(ScenarioError, match=r"optimizer\.typo_key"):
             scenario_from_dict({"optimizer": {"typo_key": 1}})
-        with pytest.raises(ScenarioError, match="bogus"):
+        with pytest.raises(ScenarioError, match=r"scenario\.bogus"):
             scenario_from_dict({"bogus": {}})
+        with pytest.raises(ScenarioError, match=r"layout\.KK, layout\.SS"):
+            scenario_from_dict({"layout": {"SS": 1, "KK": 2}})
 
     def test_invalid_layout_rejected(self):
         with pytest.raises(ScenarioError):
@@ -123,6 +125,19 @@ class TestScenarioLoading:
         got = getattr(scenario_from_dict(partial).model, side)
         np.testing.assert_array_equal(got.means, default.means)
         np.testing.assert_array_equal(got.variances, np.full((1, 16, 4), 0.1))
+
+    @pytest.mark.parametrize("root", [0, 2, 3])
+    def test_toy_drift_on_root_channel(self, root):
+        model = scenario_from_dict({"layout": {"root_channel": root}}).model
+        s = np.arange(16.0)
+        for mix, cycles, drift in ((model.source, 2.0, 0.5),
+                                   (model.target, 6.0, 1.5)):
+            mean = mix.means[0]
+            np.testing.assert_array_equal(mean[:, root], drift * s / 15)
+            for c in set(range(4)) - {root}:
+                np.testing.assert_array_equal(
+                    mean[:, c], np.sin(2.0 * np.pi * cycles * s / 16
+                                       + np.pi * c / 4))
 
     def test_default_fingerprint_pinned(self):
         # run manifests record it; the defaults' values must not drift
