@@ -4,21 +4,18 @@ constraints, and a Frechet-distance evaluation suite."""
 
 from .control import (ControlConfig, EnergyBreakdown, SegmentPredictions,
                       control_energy, guidance_delta, heuristic_omega,
-                      lambda_weight, mix_predictions, reverse_kl_check,
-                      stitch_cost)
+                      lambda_weight, reverse_kl_check, stitch_cost)
 from .errors import (DegenerateTimestepError, InvalidConfigError, NumericError,
                      ScenarioError)
 from .metrics import (EvalReport, FeatureStats, diversity, dynamics_stats,
                       evaluate, frechet_distance, geometric_features,
                       kinetic_features, standardize)
 from .mixtures import (Condition, ConditionModel, GaussianMixture,
-                       domain_log_likelihood, make_condition_model,
-                       marginal_log_density, predict_x0, sample_clips)
-from .optim import (AdamState, MixingSchedule, OptimizerConfig, adam_update,
-                    closed_form_oracle, energy_gradient, optimize_mixing)
+                       make_condition_model, predict_x0, sample_clips)
+from .optim import (MixingSchedule, OptimizerConfig, closed_form_oracle,
+                    energy_gradient, optimize_mixing)
 from .sampling import (RunResult, SegmentLayout, baseline_sample,
-                       conditional_ddim_sample, initial_segment_noise,
-                       optimized_sample)
+                       initial_segment_noise, optimized_sample)
 from .scenario import (Scenario, export_comparison_table, load_scenario,
                        scenario_from_dict, write_run)
 from .schedules import (NoiseSchedule, TimestepPlan, build_cosine_schedule,

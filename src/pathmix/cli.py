@@ -39,6 +39,17 @@ def _load(args) -> Scenario:
     return scenario
 
 
+def _check_out(out: Path):
+    """An InvalidConfigError, raised before any sampling run, if no
+    directory can be made at ``out`` because it or a parent is a file."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise InvalidConfigError(
+                    f"--out {out}: {path} is not a directory")
+            return
+
+
 def _scorable(scenario: Scenario) -> Scenario:
     """``scenario`` if ``evaluate`` can score its clips, else a ScenarioError
     raised before any sampling run."""
@@ -229,6 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.handler(args)
     except (ScenarioError, InvalidConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,12 @@ log = logging.getLogger(__name__)
 
 POSTERIOR_VAR_FLOOR = 1e-12
 
+# Largest w_T accepted at load.  Adam squares a latent gradient that grows
+# linearly in w_T; on the default scenario the square overflows past w_T of
+# about 1e152, so this bound leaves some 50 orders of magnitude for steeper
+# stitch costs.
+MAX_TERMINAL_WEIGHT = 1e100
+
 
 @dataclass(frozen=True)
 class ControlConfig:
@@ -36,8 +42,10 @@ class ControlConfig:
                           ("sigmoid_sharpness", "sigmoid_sharpness")):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidConfigError(f"control.{key}: {name} must be finite")
-        if self.terminal_weight < 0:
-            raise InvalidConfigError("control.w_T: terminal_weight must be >= 0")
+        if not 0 <= self.terminal_weight <= MAX_TERMINAL_WEIGHT:
+            raise InvalidConfigError(
+                "control.w_T: terminal_weight must lie in "
+                f"[0, {MAX_TERMINAL_WEIGHT:g}], got {self.terminal_weight:g}")
         if self.lambda_mode not in ("posterior", "unit"):
             raise InvalidConfigError("control.lambda_mode: unknown lambda_mode "
                                      f"{self.lambda_mode!r}")
@@ -78,22 +86,13 @@ class SegmentPredictions:
         return self.target - self.source
 
     def mixed(self, omega: np.ndarray) -> np.ndarray:
-        """Mixed prediction stacks, (..., K, S, C), of mixing vectors (..., K)."""
+        """Mixed prediction stacks, (..., K, S, C), of mixing vectors (..., K):
+        (1 - omega_k) * source_k + omega_k * target_k."""
         return _mix(self.source, self.target, omega[..., None, None])
 
 
 def _mix(pred_c0, pred_c1, w):
     return (1.0 - w) * pred_c0 + w * pred_c1
-
-
-def mix_predictions(pred_c0: np.ndarray, pred_c1: np.ndarray,
-                    omega: float) -> np.ndarray:
-    """(1 - omega) * pred_c0 + omega * pred_c1 with omega in [0, 1]."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must lie in [0, 1], got {omega}")
-    if pred_c0.shape != pred_c1.shape:
-        raise ValueError("prediction shapes differ")
-    return _mix(pred_c0, pred_c1, omega)
 
 
 def guidance_delta(x_t: np.ndarray, mixed_x0: np.ndarray, uncond_x0: np.ndarray,

@@ -249,13 +249,6 @@ def _component_terms(model: ConditionModel, x_t: np.ndarray,
         yield log_weights + log_n[..., part], post[..., part, :, :]
 
 
-def marginal_log_density(model: ConditionModel, x_t: np.ndarray, t: int,
-                         cond: Condition, schedule: NoiseSchedule) -> np.ndarray:
-    """Exact log-density of x_t under the noisy marginal at timestep t."""
-    ll, _ = next(_component_terms(model, x_t, schedule.alpha_bar[t], (cond,)))
-    return logsumexp(ll, axis=-1)
-
-
 def predict_x0(model: ConditionModel, x_t: np.ndarray, t: int,
                cond: Condition | tuple, schedule: NoiseSchedule):
     """Exact posterior mean E[x_0 | x_t, cond] under the forward diffusion.
@@ -292,10 +285,3 @@ def sample_clips(model: ConditionModel, cond: Condition, n: int,
     idx = rng.choice(len(mix.weights), size=n, p=mix.weights)
     noise = rng.standard_normal((n,) + mix.shape)
     return mix.means[idx] + np.sqrt(mix.variances[idx]) * noise
-
-
-def domain_log_likelihood(model: ConditionModel, clip: np.ndarray,
-                          cond: Condition) -> float:
-    """Exact mixture log-density of a clean clip under a condition."""
-    ll, _ = next(_component_terms(model, clip, 1.0, (cond,)))
-    return float(logsumexp(ll, axis=-1))

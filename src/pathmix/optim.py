@@ -72,18 +72,6 @@ def _energy_of(scores: tuple, j: int) -> EnergyBreakdown:
                            transient[j] + terminal[j], per_seg[j].copy())
 
 
-@dataclass(frozen=True)
-class AdamState:
-    z: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    count: int
-
-    @classmethod
-    def fresh(cls, z: np.ndarray) -> "AdamState":
-        return cls(z.copy(), np.zeros_like(z), np.zeros_like(z), 0)
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function: 1 / (1 + e^-z) for z >= 0 and
     e^z / (1 + e^z) below, both from e = exp(-|z|) <= 1."""
@@ -108,19 +96,6 @@ def _interior_basis(K: int) -> np.ndarray:
 
 def omega_of_latent(z: np.ndarray) -> np.ndarray:
     return pinned(sigmoid(z))
-
-
-def adam_update(state: AdamState, grad: np.ndarray,
-                config: OptimizerConfig) -> AdamState:
-    """One bias-corrected Adam step on the latent held in ``state``."""
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    count = state.count + 1
-    m = b1 * state.m + (1.0 - b1) * grad
-    v = b2 * state.v + (1.0 - b2) * grad ** 2
-    m_hat = m / (1.0 - b1 ** count)
-    v_hat = v / (1.0 - b2 ** count)
-    z = state.z - config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return AdamState(z, m, v, count)
 
 
 class _QuadraticEnergy:
@@ -195,10 +170,11 @@ def optimize_mixing(preds: SegmentPredictions, t: int,
     once.  The returned iterate is the first of lowest energy, so its energy
     never exceeds the initialization's.
 
-    The loop runs ``sigmoid``, ``grad_latent`` and ``adam_update`` element by
-    element on Python floats, in their order of arithmetic; only ``exp`` and
-    the gemv ``phi_hess @ u``, whose rounding numpy and BLAS set, stay in
-    numpy, so the iterates are those of the array functions bit for bit.
+    The loop runs ``sigmoid``, ``grad_latent`` and a bias-corrected Adam
+    step element by element on Python floats, in the array forms' order of
+    arithmetic; only ``exp`` and the gemv ``phi_hess @ u``, whose rounding
+    numpy and BLAS set, stay in numpy, so the iterates are those of the array
+    functions bit for bit (the tests keep the array Adam step as an oracle).
     """
     K = preds.num_segments
     z = np.zeros(K - 2) if z_init is None else np.asarray(z_init, dtype=np.float64)

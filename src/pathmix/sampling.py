@@ -20,7 +20,7 @@ from .control import (ControlConfig, SegmentPredictions, control_energy,
 from .errors import InvalidConfigError
 from .mixtures import Condition, ConditionModel, predict_x0
 from .optim import OptimizerConfig, optimize_mixing
-from .schedules import NoiseSchedule, TimestepPlan, ddim_step
+from .schedules import ddim_step
 from .segments import align_root, assemble_crossfade, hard_stitch_project
 
 BASELINE_KINDS = ("linear", "sigmoid", "sine")
@@ -136,20 +136,3 @@ def baseline_sample(scenario, kind: str, seed: int) -> RunResult:
     if kind not in BASELINE_KINDS:
         raise InvalidConfigError(f"unknown baseline kind {kind!r}")
     return _run(scenario, seed, kind)
-
-
-def conditional_ddim_sample(model: ConditionModel, cond: Condition,
-                            schedule: NoiseSchedule, plan: TimestepPlan,
-                            n: int, seed: int) -> np.ndarray:
-    """Plain (unsegmented) DDIM sampling under one fixed condition.
-
-    Returns n clean clips of shape (n, S, C).  Used to verify the sampler
-    against the analytic data distribution.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n,) + model.shape)
-    for i in range(plan.num_steps):
-        t, t_next = int(plan.steps[i]), int(plan.steps[i + 1])
-        x0hat = predict_x0(model, x, t, cond, schedule)
-        x = ddim_step(x, x0hat, t, t_next, schedule)
-    return x

@@ -174,10 +174,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
     try:
         raw = json.loads(path.read_text())
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ScenarioError(
+            f"cannot read scenario file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "

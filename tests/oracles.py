@@ -1,0 +1,84 @@
+"""Reference definitions the tests compare the library against.
+
+None of these is on a path the CLI, the demos or ``pathmix check`` take, so
+they live with the tests rather than in the package:
+
+- ``AdamState`` and ``adam_update``: the array form of the Python-float Adam
+  loop in ``pathmix.optim.optimize_mixing``.
+- ``mix_predictions``: the per-segment mix that ``SegmentPredictions.mixed``
+  applies to whole stacks.
+- ``conditional_ddim_sample``: a plain, unsegmented DDIM loop under one
+  condition, to check the denoiser against the analytic data distribution.
+- ``marginal_log_density`` and ``domain_log_likelihood``: exact log-densities
+  from the same component pass as ``predict_x0``.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from pathmix import (Condition, ConditionModel, NoiseSchedule,
+                     OptimizerConfig, TimestepPlan, ddim_step, predict_x0)
+from pathmix.mixtures import _component_terms, logsumexp
+from pathmix.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+
+@dataclass(frozen=True)
+class AdamState:
+    z: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    count: int
+
+    @classmethod
+    def fresh(cls, z: np.ndarray) -> "AdamState":
+        return cls(z.copy(), np.zeros_like(z), np.zeros_like(z), 0)
+
+
+def adam_update(state: AdamState, grad: np.ndarray,
+                config: OptimizerConfig) -> AdamState:
+    """One bias-corrected Adam step on the latent held in ``state``."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    count = state.count + 1
+    m = b1 * state.m + (1.0 - b1) * grad
+    v = b2 * state.v + (1.0 - b2) * grad ** 2
+    m_hat = m / (1.0 - b1 ** count)
+    v_hat = v / (1.0 - b2 ** count)
+    z = state.z - config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return AdamState(z, m, v, count)
+
+
+def mix_predictions(pred_c0: np.ndarray, pred_c1: np.ndarray,
+                    omega: float) -> np.ndarray:
+    """(1 - omega) * pred_c0 + omega * pred_c1."""
+    return (1.0 - omega) * pred_c0 + omega * pred_c1
+
+
+def conditional_ddim_sample(model: ConditionModel, cond: Condition,
+                            schedule: NoiseSchedule, plan: TimestepPlan,
+                            n: int, seed: int) -> np.ndarray:
+    """Plain (unsegmented) DDIM sampling under one fixed condition.
+
+    Returns n clean clips of shape (n, S, C).
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n,) + model.shape)
+    for i in range(plan.num_steps):
+        t, t_next = int(plan.steps[i]), int(plan.steps[i + 1])
+        x0hat = predict_x0(model, x, t, cond, schedule)
+        x = ddim_step(x, x0hat, t, t_next, schedule)
+    return x
+
+
+def marginal_log_density(model: ConditionModel, x_t: np.ndarray, t: int,
+                         cond: Condition, schedule: NoiseSchedule) -> np.ndarray:
+    """Exact log-density of x_t under the noisy marginal at timestep t."""
+    ll, _ = next(_component_terms(model, x_t, schedule.alpha_bar[t], (cond,)))
+    return logsumexp(ll, axis=-1)
+
+
+def domain_log_likelihood(model: ConditionModel, clip: np.ndarray,
+                          cond: Condition) -> float:
+    """Exact mixture log-density of a clean clip under a condition."""
+    ll, _ = next(_component_terms(model, clip, 1.0, (cond,)))
+    return float(logsumexp(ll, axis=-1))

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from oracles import conditional_ddim_sample, domain_log_likelihood
 from pathmix import (Condition, ControlConfig, OptimizerConfig, FeatureStats,
                      SegmentPredictions, baseline_sample, build_cosine_schedule,
-                     closed_form_oracle, conditional_ddim_sample,
-                     control_energy, domain_log_likelihood, energy_gradient,
+                     closed_form_oracle, control_energy, energy_gradient,
                      eps_of_x0, evaluate, forward_diffuse, frechet_distance,
                      hard_stitch_project, lambda_weight, make_condition_model,
                      optimize_mixing, optimized_sample, reverse_kl_check,

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from pathmix import (AdamState, ControlConfig, EnergyBreakdown, NumericError,
-                     OptimizerConfig, SegmentPredictions, adam_update,
+from oracles import (AdamState, adam_update, domain_log_likelihood,
+                     marginal_log_density)
+from pathmix import (ControlConfig, EnergyBreakdown, NumericError,
+                     OptimizerConfig, SegmentPredictions,
                      build_cosine_schedule, optimize_mixing,
                      select_ddim_timesteps)
 from pathmix.control import stitch_cost, stitch_cost_aligned_gradient
 from pathmix.mixtures import (Condition, ConditionModel, GaussianMixture,
-                              domain_log_likelihood, logsumexp,
-                              marginal_log_density, predict_x0)
+                              logsumexp, predict_x0)
 from pathmix.optim import _QuadraticEnergy, _interior_basis, sigmoid
 from pathmix.sampling import CONDITIONS
 from pathmix.segments import (align_root, assemble_crossfade,

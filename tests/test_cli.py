@@ -38,6 +38,15 @@ def read_csv(path):
     return path.read_text().strip().splitlines()
 
 
+@pytest.fixture()
+def no_sampling(monkeypatch):
+    """Makes every sampling call of the CLI fail the test."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampling ran")
+    for name in ("optimized_sample", "baseline_sample", "sample_clips"):
+        monkeypatch.setattr(f"pathmix.cli.{name}", no_run)
+
+
 class TestGenerate:
     def test_artifacts_written(self, fast_scenario_path, tmp_path):
         out = tmp_path / "gen"
@@ -56,10 +65,17 @@ class TestGenerate:
         values = {row.split(",", 1)[1] for row in rows}
         assert len(values) == 1
 
-    def test_bad_scenario_path_exits_2(self, tmp_path):
-        code = main(["generate", "--scenario", str(tmp_path / "nope.json"),
-                     "--method", "mdpa", "--out", str(tmp_path / "o")])
-        assert code == 2
+    def test_bad_scenario_path_exits_2(self, tmp_path, capsys):
+        # missing, a directory, and a path through a file
+        (tmp_path / "file").write_text("{}")
+        for path in (tmp_path / "nope.json", tmp_path,
+                     tmp_path / "file" / "nope.json"):
+            code = main(["generate", "--scenario", str(path),
+                         "--method", "mdpa", "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(path) in err
+            assert not (tmp_path / "o").exists()
 
     def test_negative_seed_flag_exits_2(self, fast_scenario_path, tmp_path,
                                         capsys):
@@ -71,7 +87,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("section,key,value", [
         ("seed", None, -1), ("control", "w_T", float("nan")),
-        ("optimizer", "lr", float("inf"))])
+        ("optimizer", "lr", float("inf")), ("control", "w_T", 1e160)])
     def test_invalid_value_rejected_at_load(self, tmp_path, capsys, section,
                                             key, value):
         raw = {section: value if key is None else {key: value}}
@@ -136,11 +152,7 @@ class TestGenerate:
         ({"schedule": {"T": 2 ** 40}}, "schedule.T"),
     ], ids=["T-negative", "N-zero", "J-huge", "T-huge"])
     def test_step_counts_range_checked_at_load(self, tmp_path, capsys,
-                                               monkeypatch, raw, named):
-        def no_run(*args, **kwargs):
-            raise AssertionError("sampling ran")
-        for name in ("optimized_sample", "baseline_sample"):
-            monkeypatch.setattr(f"pathmix.cli.{name}", no_run)
+                                               no_sampling, raw, named):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert main(["generate", "--scenario", str(bad), "--out",
@@ -194,11 +206,7 @@ class TestEvaluate:
         ("eval", "n_clips", 1), ("eval", "n_pairs", 0), ("layout", "C", 1),
         ("layout", "S", 2)])
     def test_unscorable_scenario_rejected_before_sampling(
-            self, tmp_path, capsys, monkeypatch, command, section, key, value):
-        def no_run(*args, **kwargs):
-            raise AssertionError("sampling ran")
-        for name in ("optimized_sample", "baseline_sample", "sample_clips"):
-            monkeypatch.setattr(f"pathmix.cli.{name}", no_run)
+            self, tmp_path, capsys, no_sampling, command, section, key, value):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schedule": {"N": 4},
                                    section: {key: value}}))
@@ -210,12 +218,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     @pytest.mark.parametrize("runs", ["0", "-1"])
     def test_runs_below_one_rejected_before_sampling(
-            self, fast_scenario_path, tmp_path, capsys, monkeypatch, command,
+            self, fast_scenario_path, tmp_path, capsys, no_sampling, command,
             runs):
-        def no_run(*args, **kwargs):
-            raise AssertionError("sampling ran")
-        for name in ("optimized_sample", "baseline_sample", "sample_clips"):
-            monkeypatch.setattr(f"pathmix.cli.{name}", no_run)
         assert main([command, "--scenario", str(fast_scenario_path),
                      "--runs", runs, "--out", str(tmp_path / "o")]) == 2
         assert "--runs" in capsys.readouterr().err
@@ -283,8 +287,10 @@ class TestSweep:
         assert "J" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    # 1e300 is above the w_T bound that keeps Adam's second moment finite
     @pytest.mark.parametrize("spec,named", [("w_T=1,-1", "w_T=-1"),
-                                            ("K=4,1", "K=1")])
+                                            ("K=4,1", "K=1"),
+                                            ("w_T=1,1e300", "w_T=1e+300")])
     def test_bad_later_value_exits_2_before_any_run(
             self, fast_scenario_path, tmp_path, capsys, spec, named):
         code = main(["sweep", "--scenario", str(fast_scenario_path),
@@ -292,6 +298,22 @@ class TestSweep:
         assert code == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["generate"], "file"),
+    (["evaluate", "--runs", "1"], "file/x"),
+    (["compare", "--runs", "1"], "file"),
+    (["sweep", "--sweep", "w_T=1,2"], "file/x/y"),
+], ids=["generate", "evaluate", "compare", "sweep"])
+def test_out_under_a_file_exits_2_before_sampling(tmp_path, capsys,
+                                                  no_sampling, argv, out):
+    (tmp_path / "file").write_text("")
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--out" in err
+    assert str(tmp_path / "file") in err
+    assert (tmp_path / "file").read_text() == ""
 
 
 class TestCheck:

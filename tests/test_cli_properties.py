@@ -5,20 +5,23 @@ The scenario is tiny (K=3, S=4, C=2, one DDIM step, one Adam step), so a
 request that is accepted runs in milliseconds.  Numbers that would be valid
 are capped at 64 in magnitude, as in ``test_scenario_properties.py``, so that
 an accepted ``--runs``, ``J`` or ``K`` stays cheap; non-finite values and
-10**400 stand for the rest.  Beyond the cap, a ``w_T`` near 1e160 is valid at
-load and then overflows Adam's second moment, a runtime failure (exit 1) of
-the scenario's values rather than of parsing these flags.
+10**400 stand for the rest.  ``w_T`` is the one value whose size alone could
+fail a run: past about 1e152 Adam's second moment overflows, so the loader
+caps it at ``MAX_TERMINAL_WEIGHT``, and the last test runs weights up to 1e300.
 """
 
 import contextlib
 import io
 import json
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathmix.cli import SWEEP_KEYS, main
+from pathmix.control import MAX_TERMINAL_WEIGHT
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None,
                    database=None)
@@ -91,3 +94,20 @@ def test_sweep_string_exits_0_or_2(paths, spec):
     scenario, out = paths
     assert exit_code(["sweep", "--scenario", scenario, "--sweep", spec,
                       "--out", out]) in (0, 2)
+
+
+@PROFILE
+@given(w_T=st.floats(0, 1e300)
+       | st.sampled_from([MAX_TERMINAL_WEIGHT,
+                          math.nextafter(MAX_TERMINAL_WEIGHT, math.inf),
+                          1e152, 1e155, 1e160, 1e300]),
+       seed=st.integers(0, 64))
+def test_accepted_w_T_exits_0(paths, w_T, seed):
+    # a weight the loader accepts runs; one above the bound exits 2
+    _, out = paths
+    scenario = Path(out).parent / "w_T.json"
+    scenario.write_text(json.dumps({**TINY, "seed": seed,
+                                    "control": {"w_T": w_T}}))
+    expect = 0 if w_T <= MAX_TERMINAL_WEIGHT else 2
+    assert exit_code(["generate", "--scenario", str(scenario),
+                      "--out", out]) == expect

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import mix_predictions
 from pathmix import (ControlConfig, DegenerateTimestepError,
                      InvalidConfigError, SegmentPredictions, control_energy,
                      eps_of_x0, guidance_delta, heuristic_omega, lambda_weight,
-                     mix_predictions, reverse_kl_check, stitch_cost)
+                     reverse_kl_check, stitch_cost)
 from pathmix.control import transient_coefficients
 from pathmix.optim import _QuadraticEnergy
 from pathmix.segments import align_root
@@ -20,20 +21,26 @@ def pinned_omega(interior):
     return np.concatenate([[0.0], np.atleast_1d(interior), [1.0]])
 
 
+def two_segments(a, b):
+    """Predictions of two segments, each with source ``a`` and target ``b``."""
+    return SegmentPredictions(np.stack([a, a]), np.stack([b, b]),
+                              np.stack([a, a]))
+
+
 class TestMixPredictions:
     def test_endpoints(self, rng):
+        # SegmentPredictions.mixed gives source and target exactly at 0 and 1
         a, b = rng.normal(size=(2, 16, 4))
-        np.testing.assert_array_equal(mix_predictions(a, b, 0.0), a)
-        np.testing.assert_array_equal(mix_predictions(a, b, 1.0), b)
+        preds = two_segments(a, b)
+        np.testing.assert_array_equal(preds.mixed(np.array([0.0, 1.0])),
+                                      np.stack([a, b]))
+        np.testing.assert_array_equal(preds.mixed(np.array([1.0, 0.0])),
+                                      np.stack([b, a]))
 
     def test_midpoint(self, rng):
         a, b = rng.normal(size=(2, 16, 4))
-        np.testing.assert_allclose(mix_predictions(a, b, 0.5), (a + b) / 2)
-
-    def test_out_of_range_rejected(self, rng):
-        a = rng.normal(size=(4, 2))
-        with pytest.raises(ValueError):
-            mix_predictions(a, a, 1.5)
+        np.testing.assert_allclose(two_segments(a, b).mixed(np.full(2, 0.5)),
+                                   np.stack([(a + b) / 2] * 2))
 
 
 class TestGuidanceDelta:

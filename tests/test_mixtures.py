@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from oracles import domain_log_likelihood, marginal_log_density
 from pathmix import (Condition, ConditionModel, GaussianMixture,
-                     InvalidConfigError, domain_log_likelihood, eps_of_x0,
-                     make_condition_model, marginal_log_density, predict_x0,
-                     sample_clips)
+                     InvalidConfigError, eps_of_x0, make_condition_model,
+                     predict_x0, sample_clips)
 
 
 def single_gaussian_model(S=4, C=2, mean=0.0, variance=1.0):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from pathmix import (AdamState, ControlConfig, InvalidConfigError,
-                     NumericError, OptimizerConfig, SegmentPredictions,
-                     adam_update, closed_form_oracle, control_energy,
-                     energy_gradient, optimize_mixing)
+from oracles import AdamState, adam_update
+from pathmix import (ControlConfig, InvalidConfigError, NumericError,
+                     OptimizerConfig, SegmentPredictions, closed_form_oracle,
+                     control_energy, energy_gradient, optimize_mixing)
 from pathmix.optim import omega_of_latent, sigmoid
 
 

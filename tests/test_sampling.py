@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import conditional_ddim_sample
 from pathmix import (Condition, InvalidConfigError, SegmentLayout,
-                     baseline_sample, conditional_ddim_sample,
-                     initial_segment_noise, make_condition_model,
-                     optimized_sample, scenario_from_dict)
+                     baseline_sample, initial_segment_noise,
+                     make_condition_model, optimized_sample,
+                     scenario_from_dict)
 from pathmix.sampling import MAX_LAYOUT_VALUES
 
 

@@ -5,9 +5,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pathmix"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pathmix"
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# what calls the library besides itself: the demos and the benchmark harness,
+# whose own tests are left out
+CALLERS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,6 +28,41 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def names_read(nodes) -> set[str]:
+    """The names and attribute names that the code of ``nodes`` reads."""
+    read = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return read
+
+
+def unreferenced(library: list[str], callers: list[str]) -> list[str]:
+    """Top-level functions and classes of the ``library`` sources that no
+    caller reaches, sorted.  A definition is reached when a ``callers``
+    source reads its name, when a library module's top-level statements
+    other than imports do, or when a reached definition's code does; a
+    definition reading its own name does not reach itself."""
+    defs, reached = {}, set()
+    for source in library:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs[node.name] = node
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= names_read([node])
+    reached |= names_read(ast.parse(source) for source in callers)
+    frontier, live = reached & defs.keys(), set()
+    while frontier:
+        name = frontier.pop()
+        live.add(name)
+        frontier |= (names_read([defs[name]]) & defs.keys()) - live
+    return sorted(defs.keys() - live)
+
+
 def test_scan_finds_unused_imports():
     source = ("from __future__ import annotations\n"
               "import os\nimport os.path as osp\nimport numpy.linalg\n"
@@ -32,11 +71,37 @@ def test_scan_finds_unused_imports():
     assert unused_imports(source) == ["os", "osp", "turn"]
 
 
+def test_scan_finds_unreferenced_definitions():
+    library = ['"""``dead`` is named here, which is not a call."""\n'
+               "from math import pi\n"
+               "TABLE = {'key': Listed}\n"
+               "class Listed:\n    pass\n"
+               "def entry():\n    return helper(pi)\n"
+               "def helper(x):\n    return x\n"
+               "def dead():\n    return dead_helper()\n",
+               "from lib import helper\n"
+               "def dead_helper():\n    return helper\n"
+               "class Dead:\n    def run(self):\n        return Dead()\n"
+               "def recursive():\n    return recursive()\n"]
+    callers = ["import lib\nlib.entry()\n"]
+    assert unreferenced(library, callers) == ["Dead", "dead", "dead_helper",
+                                              "recursive"]
+
+
 def test_library_modules_found():
     assert {"optim.py", "control.py", "mixtures.py"} <= {p.name
                                                          for p in MODULES}
+    assert {"01_single_run.py", "client.py", "layers.py"} <= {p.name
+                                                              for p in CALLERS}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_definition_has_a_caller():
+    # the CLI (through ``main``, which cli.py's ``__main__`` block reads),
+    # ``pathmix check``, the demos and perfbench; tests do not count
+    assert unreferenced([p.read_text() for p in MODULES],
+                        [p.read_text() for p in CALLERS]) == []
