@@ -12,7 +12,6 @@ Run with: python3 demos/03_terminal_weight_sweep.py
 from pathmix import (ControlConfig, SegmentPredictions, closed_form_oracle,
                      initial_segment_noise, optimized_sample, predict_x0,
                      scenario_from_dict)
-from pathmix.sampling import CONDITIONS
 
 print(f"{'w_T':>6}  final interior omegas   peak energy")
 for w_T in (0.0, 0.5, 1.0, 5.0, 20.0):
@@ -29,7 +28,7 @@ schedule = scenario.build_schedule()
 model = scenario.build_model()
 t = 500
 x_t = initial_segment_noise(scenario.layout, 3)  # stand-in noisy state
-preds = SegmentPredictions(*predict_x0(model, x_t, t, CONDITIONS, schedule))
+preds = SegmentPredictions(*predict_x0(model, x_t, t, schedule))
 
 print(f"\nunconstrained quadratic optimum at t={t}:")
 for w_T in (0.1, 1.0, 10.0):

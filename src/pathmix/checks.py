@@ -155,8 +155,8 @@ def check_frechet_closed_form() -> CheckResult:
     for _ in range(10):
         m1, m2 = rng.normal(size=2)
         s1, s2 = rng.uniform(0.5, 2.0, size=2)
-        a = FeatureStats(np.array([m1]), np.array([[s1 ** 2]]), 2)
-        b = FeatureStats(np.array([m2]), np.array([[s2 ** 2]]), 2)
+        a = FeatureStats(np.array([m1]), np.array([[s1 ** 2]]))
+        b = FeatureStats(np.array([m2]), np.array([[s2 ** 2]]))
         expect = (m1 - m2) ** 2 + (s1 - s2) ** 2
         err = max(err, abs(frechet_distance(a, b) - expect))
     # matrix square root reconstruction

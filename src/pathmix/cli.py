@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ def _load(args) -> Scenario:
         scenario = scenario_from_dict({})
     else:
         scenario = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         raw = scenario.to_dict()
         raw["seed"] = args.seed
         scenario = scenario_from_dict(raw)
@@ -119,7 +120,7 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(
-        json.dumps(report.as_dict(), indent=2) + "\n")
+        json.dumps(asdict(report), indent=2) + "\n")
     print(f"{args.method}: fid_kinetic {report.fid_kinetic:.4f}, "
           f"fid_geometric {report.fid_geometric:.4f}")
     return 0
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "mixing: generation, evaluation, and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method=False, runs=False, sweep=False, out=True):
+    def common(p, method=False, runs=False, sweep=False):
         p.add_argument("--scenario", type=Path, default=None,
                        help="scenario JSON (defaults to the built-in toy)")
         p.add_argument("--seed", type=int, default=None,
@@ -215,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         if sweep:
             p.add_argument("--sweep", required=True, metavar="KEY=V1,V2,...",
                            help=f"scalar to vary, one of {sorted(SWEEP_KEYS)}")
-        if out:
-            p.add_argument("--out", type=Path, required=True,
-                           help="output directory")
+        p.add_argument("--out", type=Path, required=True,
+                       help="output directory")
 
     common(sub.add_parser("generate", help="run one sampler and write "
                           "run artifacts"), method=True)

@@ -9,7 +9,7 @@ computed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ FID_CLAMP = -1e-8
 class FeatureStats:
     mean: np.ndarray
     cov: np.ndarray
-    count: int
 
     @classmethod
     def from_features(cls, features: np.ndarray) -> "FeatureStats":
@@ -34,7 +33,7 @@ class FeatureStats:
         mean = features.mean(axis=0)
         cov = np.cov(features, rowvar=False, ddof=1)
         cov = np.atleast_2d(cov)
-        return cls(mean, cov, len(features))
+        return cls(mean, cov)
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,6 @@ class EvalReport:
     jerk_var: float
     n_gen: int
     n_gt: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def kinetic_features(clip: np.ndarray) -> np.ndarray:

@@ -26,6 +26,13 @@ DOMAIN_DEFAULTS = {"c0": {"kind": "toy", "cycles": 2.0, "root_drift": 0.5},
                    "p0": 0.5}
 DEFAULT_VARIANCE = 0.05  # of a toy domain or a component entry
 
+# Largest |mean| and |root_drift| accepted at load; variances up to its
+# square.  The latent gradient Adam squares grows with w_T times the square
+# of the predictions' scale: at control.w_T's bound of 1e100 a mean of 1e27
+# overflows the second moment, and at w_T = 1 one of about 1e71 does, so this
+# bound leaves seven orders of magnitude.
+MAX_DOMAIN_SCALE = 1e20
+
 
 def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False):
     """log(sum(exp(a))) along ``axis`` with scipy.special.logsumexp's arithmetic.
@@ -119,14 +126,15 @@ class ConditionModel:
         )
 
     @cached_property
-    def null_parts(self) -> dict:
-        """Per condition: where its components sit among ``null``'s
-        components, and the log of its weights; built on first use."""
+    def null_parts(self) -> tuple:
+        """Where the source's, the target's and all components sit among
+        ``null``'s components, each with the log of its mixture's weights;
+        built on first use."""
         m0 = len(self.source.weights)
-        return {cond: (part, np.log(self.mixture(cond).weights))
-                for cond, part in ((Condition.SOURCE, slice(m0)),
-                                   (Condition.TARGET, slice(m0, None)),
-                                   (Condition.NULL, slice(None)))}
+        return tuple((part, np.log(mix.weights))
+                     for part, mix in ((slice(m0), self.source),
+                                       (slice(m0, None), self.target),
+                                       (slice(None), self.null)))
 
 
 def _toy_mean(S: int, C: int, cycles: float, root_drift: float,
@@ -141,8 +149,8 @@ def _toy_mean(S: int, C: int, cycles: float, root_drift: float,
 
 
 def _finite(spec: dict, key: str, where: str, default=None, shape=(),
-            least=-np.inf):
-    """``spec[key]`` (or ``default``) as finite float64 >= ``least``
+            least=-np.inf, most=np.inf):
+    """``spec[key]`` (or ``default``) as finite float64 in [least, most]
     broadcast to ``shape``; otherwise an InvalidConfigError names where.key."""
     value = spec.get(key, default)
     try:
@@ -154,6 +162,8 @@ def _finite(spec: dict, key: str, where: str, default=None, shape=(),
             f"{where}.{key} must be a finite number (shape {shape})")
     if np.any(array < least):
         raise InvalidConfigError(f"{where}.{key} must be >= {least}")
+    if np.any(array > most):
+        raise InvalidConfigError(f"{where}.{key} must be <= {most:g}")
     return array
 
 
@@ -174,9 +184,11 @@ def _mixture_from_spec(spec: dict, defaults: dict, S: int, C: int,
         spec = {**defaults, **spec}
         _known(spec, {"kind", "cycles", "root_drift", "variance"}, where)
         mean = _toy_mean(S, C, _finite(spec, "cycles", where),
-                         _finite(spec, "root_drift", where), root_channel)
+                         _finite(spec, "root_drift", where,
+                                 least=-MAX_DOMAIN_SCALE,
+                                 most=MAX_DOMAIN_SCALE), root_channel)
         var = _finite(spec, "variance", where, DEFAULT_VARIANCE, (),
-                      VARIANCE_FLOOR)
+                      VARIANCE_FLOOR, MAX_DOMAIN_SCALE ** 2)
         return GaussianMixture(np.array([1.0]), mean[None],
                                np.full((1, S, C), var))
     if kind == "components":
@@ -193,9 +205,13 @@ def _mixture_from_spec(spec: dict, defaults: dict, S: int, C: int,
         if np.any(weights < 0) or not weights.sum() > 0:
             raise InvalidConfigError(
                 f"{where} component weights must be >= 0 with a positive sum")
-        means = np.stack([_finite(c, "mean", n, None, (S, C)) for c, n in parts])
+        means = np.stack([_finite(c, "mean", n, None, (S, C),
+                                  least=-MAX_DOMAIN_SCALE,
+                                  most=MAX_DOMAIN_SCALE) for c, n in parts])
         variances = np.stack([_finite(c, "variance", n, DEFAULT_VARIANCE,
-                                      (S, C), VARIANCE_FLOOR) for c, n in parts])
+                                      (S, C), VARIANCE_FLOOR,
+                                      MAX_DOMAIN_SCALE ** 2)
+                              for c, n in parts])
         return GaussianMixture(weights / weights.sum(), means, variances)
     raise InvalidConfigError(f"{where}.kind: unknown domain kind {kind!r}")
 
@@ -227,52 +243,36 @@ def make_condition_model(spec: dict) -> ConditionModel:
                           float(spec.get("p0", DOMAIN_DEFAULTS["p0"])))
 
 
-def _component_terms(model: ConditionModel, x_t: np.ndarray,
-                     alpha_bar_t: float, conds: tuple):
-    """Per condition c in ``conds``: log[pi_m N(x_t; sqrt(a) mu_m, s2)] and
-    the posterior mean mu_m + sqrt(a) v_m / s2 * d of each of its
-    components, with d = x_t - sqrt(a) mu_m and s2 = a v_m + 1 - a.
-
-    The terms are computed once over the null mixture and c reads its slice
-    ``model.null_parts[c]``; they equal a pass over c's own mixture.
-    ``x_t`` may carry leading batch dimensions: the log-likelihoods have
-    shape batch + (M,) and the posterior means batch + (M, S, C).
-    """
-    a, mix = alpha_bar_t, model.null
-    root_a = np.sqrt(a)
-    d = x_t[..., None, :, :] - root_a * mix.means
-    s2 = a * mix.variances + (1.0 - a)
-    log_n = -0.5 * (d ** 2 / s2 + np.log(2.0 * np.pi * s2)).sum(axis=(-2, -1))
-    post = mix.means + root_a * mix.variances / s2 * d
-    for c in conds:
-        part, log_weights = model.null_parts[c]
-        yield log_weights + log_n[..., part], post[..., part, :, :]
-
-
 def predict_x0(model: ConditionModel, x_t: np.ndarray, t: int,
-               cond: Condition | tuple, schedule: NoiseSchedule):
-    """Exact posterior mean E[x_0 | x_t, cond] under the forward diffusion.
+               schedule: NoiseSchedule) -> tuple:
+    """Exact posterior means E[x_0 | x_t, c] under the forward diffusion for
+    c = source, target and no condition, in that order.
 
-    Per component the posterior mean is
-    mu + sqrt(a) v / (a v + 1 - a) * (x_t - sqrt(a) mu), combined with
-    responsibilities proportional to pi_m N(x_t; sqrt(a) mu_m, a v_m + 1 - a)
-    computed in log space.  Supports leading batch dimensions on ``x_t``.
-
-    ``cond`` may be a tuple of conditions, for which a tuple of means is
-    returned from one pass over the null mixture's components; the values
-    equal separate calls.
+    Per component the posterior mean is mu + sqrt(a) v / s2 * d, with
+    d = x_t - sqrt(a) mu and s2 = a v + 1 - a, combined with
+    responsibilities proportional to pi_m N(x_t; sqrt(a) mu_m, s2_m)
+    computed in log space.  The component terms are computed once over the
+    null mixture and each condition reads its slice ``model.null_parts``;
+    the means equal a pass over each condition's own mixture.  ``x_t`` may
+    carry leading batch dimensions.
     """
     if t < 1:
         raise ValueError("predict_x0 requires t >= 1")
     if not np.isfinite(x_t).all():
         raise NumericError("x_t contains non-finite values")
-    conds = cond if isinstance(cond, tuple) else (cond,)
+    a, mix = schedule.alpha_bar[t], model.null
+    root_a = np.sqrt(a)
+    d = x_t[..., None, :, :] - root_a * mix.means
+    s2 = a * mix.variances + (1.0 - a)
+    log_n = -0.5 * (d ** 2 / s2 + np.log(2.0 * np.pi * s2)).sum(axis=(-2, -1))
+    post = mix.means + root_a * mix.variances / s2 * d
     means = []
-    for log_r, post in _component_terms(model, x_t, schedule.alpha_bar[t],
-                                        conds):
+    for part, log_weights in model.null_parts:
+        log_r = log_weights + log_n[..., part]
         resp = np.exp(log_r - logsumexp(log_r, axis=-1, keepdims=True))
-        means.append((resp[..., None, None] * post).sum(axis=-3))
-    return tuple(means) if isinstance(cond, tuple) else means[0]
+        means.append((resp[..., None, None] * post[..., part, :, :])
+                     .sum(axis=-3))
+    return tuple(means)
 
 
 def sample_clips(model: ConditionModel, cond: Condition, n: int,

@@ -12,7 +12,7 @@ import datetime
 import hashlib
 import json
 import numbers
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -21,7 +21,8 @@ import numpy as np
 from .control import ControlConfig
 from .errors import ScenarioError
 from .metrics import EvalReport
-from .mixtures import DOMAIN_DEFAULTS, ConditionModel, make_condition_model
+from .mixtures import (DOMAIN_DEFAULTS, ConditionModel, _known,
+                       make_condition_model)
 from .optim import OptimizerConfig
 from .sampling import MAX_LAYOUT_VALUES, RunResult, SegmentLayout
 from .schedules import (NoiseSchedule, TimestepPlan, build_cosine_schedule,
@@ -114,10 +115,7 @@ def _merge_section(name: str, raw: dict, defaults: dict) -> dict:
     """``defaults`` updated from ``raw``, each value of the default's type."""
     if not isinstance(raw, dict):
         raise ScenarioError(f"{name!r} must be a JSON object, got {raw!r}")
-    unknown = set(raw) - set(defaults)
-    if unknown:
-        raise ScenarioError("unknown key(s): " + ", ".join(
-            f"{name}.{key}" for key in sorted(unknown)))
+    _known(raw, set(defaults), name)
     merged = dict(defaults)
     merged.update(raw)
     for key, default in defaults.items():
@@ -126,9 +124,11 @@ def _merge_section(name: str, raw: dict, defaults: dict) -> dict:
     return merged
 
 
-def _check_steps(T: int, N: int, J: int, K: int):
-    """Range and size checks of the step counts, before anything of their
-    size is allocated: T+1 schedule values, (J+1)*K latent values per step."""
+def _check_counts(T: int, N: int, J: int, layout: SegmentLayout,
+                  n_clips: int, n_pairs: int):
+    """Range and size checks of the step and sample counts, before anything
+    of their size is allocated: T+1 schedule values, (J+1)*K latent values
+    per step, n_clips*S*C clip values and n_pairs diversity pairs."""
     if T < 2:
         raise ScenarioError(f"schedule.T must be >= 2, got {T}")
     if T + 1 > MAX_LAYOUT_VALUES:
@@ -139,23 +139,28 @@ def _check_steps(T: int, N: int, J: int, K: int):
                             f"got {N}")
     if J < 0:
         raise ScenarioError(f"optimizer.J must be >= 0, got {J}")
-    if (J + 1) * K > MAX_LAYOUT_VALUES:
-        raise ScenarioError(
-            f"optimizer.J and layout.K give (J+1)*K = {(J + 1) * K} values, "
-            f"more than the bound of {MAX_LAYOUT_VALUES}")
+    for names, size in (
+            ("optimizer.J and layout.K give (J+1)*K", (J + 1) * layout.K),
+            ("eval.n_clips, layout.S and layout.C give n_clips*S*C",
+             n_clips * layout.S * layout.C),
+            ("eval.n_pairs gives n_pairs", n_pairs)):
+        if size > MAX_LAYOUT_VALUES:
+            raise ScenarioError(f"{names} = {size} values, more than the "
+                                f"bound of {MAX_LAYOUT_VALUES}")
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    top = _merge_section("scenario", raw, DEFAULTS)
-    for name, default in DEFAULTS.items():
-        if isinstance(default, dict):
-            top[name] = _merge_section(name, top[name], default)
-    lay, opt, ctl = top["layout"], top["optimizer"], top["control"]
-    T, N = top["schedule"]["T"], top["schedule"]["N"]
     try:
+        top = _merge_section("scenario", raw, DEFAULTS)
+        for name, default in DEFAULTS.items():
+            if isinstance(default, dict):
+                top[name] = _merge_section(name, top[name], default)
+        lay, opt, ctl = top["layout"], top["optimizer"], top["control"]
+        T, N = top["schedule"]["T"], top["schedule"]["N"]
         layout = SegmentLayout(lay["K"], lay["S"], lay["C"],
                                lay["root_channel"])
-        _check_steps(T, N, opt["J"], layout.K)
+        _check_counts(T, N, opt["J"], layout, top["eval"]["n_clips"],
+                      top["eval"]["n_pairs"])
         return Scenario(
             layout=layout, total_steps=T, ddim_steps=N,
             optimizer=OptimizerConfig(steps=opt["J"], lr=opt["lr"],
@@ -225,7 +230,7 @@ def write_run(result: RunResult, report: EvalReport | None, out_dir) -> Path:
         "fingerprint": result.fingerprint,
         "wall_time": result.wall_time,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "metrics": report.as_dict() if report is not None else None,
+        "metrics": asdict(report) if report is not None else None,
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")

@@ -9,8 +9,12 @@ they live with the tests rather than in the package:
   applies to whole stacks.
 - ``conditional_ddim_sample``: a plain, unsegmented DDIM loop under one
   condition, to check the denoiser against the analytic data distribution.
-- ``marginal_log_density`` and ``domain_log_likelihood``: exact log-densities
-  from the same component pass as ``predict_x0``.
+- ``loop_log_density``, ``marginal_log_density`` and
+  ``domain_log_likelihood``: exact log-densities, each from its own
+  likelihood pass over one condition's mixture.
+
+They import no private name of ``pathmix`` (``tests/test_source.py`` checks
+this), so that each checks the library rather than sharing its code.
 """
 
 from dataclasses import dataclass
@@ -19,8 +23,11 @@ import numpy as np
 
 from pathmix import (Condition, ConditionModel, NoiseSchedule,
                      OptimizerConfig, TimestepPlan, ddim_step, predict_x0)
-from pathmix.mixtures import _component_terms, logsumexp
+from pathmix.mixtures import logsumexp
 from pathmix.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+# the conditions of predict_x0's means, in order
+ORDER = (Condition.SOURCE, Condition.TARGET, Condition.NULL)
 
 
 @dataclass(frozen=True)
@@ -65,20 +72,30 @@ def conditional_ddim_sample(model: ConditionModel, cond: Condition,
     x = rng.standard_normal((n,) + model.shape)
     for i in range(plan.num_steps):
         t, t_next = int(plan.steps[i]), int(plan.steps[i + 1])
-        x0hat = predict_x0(model, x, t, cond, schedule)
+        x0hat = predict_x0(model, x, t, schedule)[ORDER.index(cond)]
         x = ddim_step(x, x0hat, t, t_next, schedule)
     return x
+
+
+def loop_log_density(model: ConditionModel, x: np.ndarray, a: float,
+                     cond: Condition) -> np.ndarray:
+    """One condition's log-density of x diffused to alpha_bar a, with its own
+    likelihood pass."""
+    mix = model.mixture(cond)
+    s2 = a * mix.variances + (1.0 - a)
+    ll = np.log(mix.weights) - 0.5 * np.sum(
+        (x[..., None, :, :] - np.sqrt(a) * mix.means) ** 2 / s2
+        + np.log(2.0 * np.pi * s2), axis=(-2, -1))
+    return logsumexp(ll, axis=-1)
 
 
 def marginal_log_density(model: ConditionModel, x_t: np.ndarray, t: int,
                          cond: Condition, schedule: NoiseSchedule) -> np.ndarray:
     """Exact log-density of x_t under the noisy marginal at timestep t."""
-    ll, _ = next(_component_terms(model, x_t, schedule.alpha_bar[t], (cond,)))
-    return logsumexp(ll, axis=-1)
+    return loop_log_density(model, x_t, schedule.alpha_bar[t], cond)
 
 
 def domain_log_likelihood(model: ConditionModel, clip: np.ndarray,
                           cond: Condition) -> float:
     """Exact mixture log-density of a clean clip under a condition."""
-    ll, _ = next(_component_terms(model, clip, 1.0, (cond,)))
-    return float(logsumexp(ll, axis=-1))
+    return float(loop_log_density(model, clip, 1.0, cond))

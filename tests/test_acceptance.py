@@ -275,8 +275,8 @@ def test_criterion_9_metric_suite():
     for _ in range(20):
         m1, m2 = rng.normal(size=2)
         s1, s2 = rng.uniform(0.3, 3.0, size=2)
-        a = FeatureStats(np.array([m1]), np.array([[s1 ** 2]]), 2)
-        b = FeatureStats(np.array([m2]), np.array([[s2 ** 2]]), 2)
+        a = FeatureStats(np.array([m1]), np.array([[s1 ** 2]]))
+        b = FeatureStats(np.array([m2]), np.array([[s2 ** 2]]))
         closed = max(closed, abs(frechet_distance(a, b)
                                  - ((m1 - m2) ** 2 + (s1 - s2) ** 2)))
 

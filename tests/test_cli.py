@@ -31,7 +31,13 @@ OUT_OF_RANGE = {
     "control.lambda_mode": {"control": {"lambda_mode": "bogus"}},
     "domains.p0": {"domains": {"p0": 1.5}},
     "domains.c0.variance": {"domains": {"c0": {"variance": 0.0}}},
+    "domains.c1.variance": {"domains": {"c1": {"variance": 1e41}}},
+    "domains.c1.root_drift": {"domains": {"c1": {"root_drift": -1e21}}},
 }
+
+# K=3, S=4, C=2, one DDIM step and one Adam step
+TINY = {"layout": {"K": 3, "S": 4, "C": 2}, "schedule": {"T": 4, "N": 1},
+        "optimizer": {"J": 1}}
 
 
 def read_csv(path):
@@ -106,8 +112,19 @@ class TestGenerate:
          "c0.components[0].weight"),
         ({"domains": {"c0": {"kind": "toy", "cycles": "x"}}}, "c0.cycles"),
         ({"optimizer": {"typo_key": 1}}, "optimizer.typo_key"),
+        # past the domain bound, these overflowed Adam's second moment
+        # mid-run: a constant mean of 1e80 at any w_T, and a mean
+        # alternating +-1e30 from frame to frame at the largest w_T
+        ({**TINY, "domains": {"c1": {"kind": "components", "components": [
+            {"weight": 1, "mean": 1e80}]}}},
+         "domains.c1.components[0].mean"),
+        ({**TINY, "control": {"w_T": 1e100},
+          "domains": {"c1": {"kind": "components", "components": [
+              {"weight": 1, "mean": [[1e30] * 2, [-1e30] * 2] * 2}]}}},
+         "domains.c1.components[0].mean"),
     ], ids=["K-string", "layout-number", "component-without-weight",
-            "cycles-string", "unknown-section-key"])
+            "cycles-string", "unknown-section-key", "constant-mean-1e80",
+            "alternating-mean-1e30"])
     def test_malformed_value_rejected_at_load(self, tmp_path, capsys, raw,
                                               named):
         bad = tmp_path / "bad.json"
@@ -201,10 +218,13 @@ class TestEvaluate:
         assert metrics["n_gen"] == 8
         assert np.isfinite(metrics["fid_kinetic"])
 
+    # the two oversized counts ended in a numpy memory error after the
+    # sampling runs before they were bounded at load
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     @pytest.mark.parametrize("section,key,value", [
         ("eval", "n_clips", 1), ("eval", "n_pairs", 0), ("layout", "C", 1),
-        ("layout", "S", 2)])
+        ("layout", "S", 2), ("eval", "n_clips", 10 ** 10),
+        ("eval", "n_pairs", 10 ** 11)])
     def test_unscorable_scenario_rejected_before_sampling(
             self, tmp_path, capsys, no_sampling, command, section, key, value):
         bad = tmp_path / "bad.json"

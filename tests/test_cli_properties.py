@@ -5,9 +5,11 @@ The scenario is tiny (K=3, S=4, C=2, one DDIM step, one Adam step), so a
 request that is accepted runs in milliseconds.  Numbers that would be valid
 are capped at 64 in magnitude, as in ``test_scenario_properties.py``, so that
 an accepted ``--runs``, ``J`` or ``K`` stays cheap; non-finite values and
-10**400 stand for the rest.  ``w_T`` is the one value whose size alone could
-fail a run: past about 1e152 Adam's second moment overflows, so the loader
-caps it at ``MAX_TERMINAL_WEIGHT``, and the last test runs weights up to 1e300.
+10**400 stand for the rest.  ``w_T`` and the scale of the domain data are
+the values whose size alone could fail a run: Adam's second moment
+overflows past w_T of about 1e152, or a mean of about 1e27 at w_T = 1e100,
+so the loader caps them at ``MAX_TERMINAL_WEIGHT`` and ``MAX_DOMAIN_SCALE``,
+and the last test runs pairs of a weight and a scale up to 1e300.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from pathmix.cli import SWEEP_KEYS, main
 from pathmix.control import MAX_TERMINAL_WEIGHT
+from pathmix.mixtures import MAX_DOMAIN_SCALE
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None,
                    database=None)
@@ -96,18 +99,29 @@ def test_sweep_string_exits_0_or_2(paths, spec):
                       "--out", out]) in (0, 2)
 
 
+def bounded(least: float, limit: float, steep: list):
+    """Floats in [least, 1e300] and in [least, limit], with ``limit``, the
+    next float above it and the ``steep`` values that overflowed a run
+    before the bound."""
+    return (st.floats(least, 1e300) | st.floats(least, limit)
+            | st.sampled_from([limit, math.nextafter(limit, math.inf),
+                               *steep]))
+
+
 @PROFILE
-@given(w_T=st.floats(0, 1e300)
-       | st.sampled_from([MAX_TERMINAL_WEIGHT,
-                          math.nextafter(MAX_TERMINAL_WEIGHT, math.inf),
-                          1e152, 1e155, 1e160, 1e300]),
+@given(w_T=bounded(0, MAX_TERMINAL_WEIGHT, [1e152, 1e155, 1e160, 1e300]),
+       scale=bounded(-1e300, MAX_DOMAIN_SCALE, [1e25, 1e27, 1e30, 1e80]),
        seed=st.integers(0, 64))
-def test_accepted_w_T_exits_0(paths, w_T, seed):
-    # a weight the loader accepts runs; one above the bound exits 2
+def test_accepted_w_T_exits_0(paths, w_T, scale, seed):
+    # the target's mean alternates +-scale from frame to frame; a pair the
+    # loader accepts runs, and one past either bound exits 2
     _, out = paths
     scenario = Path(out).parent / "w_T.json"
-    scenario.write_text(json.dumps({**TINY, "seed": seed,
-                                    "control": {"w_T": w_T}}))
-    expect = 0 if w_T <= MAX_TERMINAL_WEIGHT else 2
+    mean = [[scale] * 2, [-scale] * 2] * 2
+    scenario.write_text(json.dumps({
+        **TINY, "seed": seed, "control": {"w_T": w_T},
+        "domains": {"c1": {"kind": "components",
+                           "components": [{"weight": 1, "mean": mean}]}}}))
+    accepted = w_T <= MAX_TERMINAL_WEIGHT and abs(scale) <= MAX_DOMAIN_SCALE
     assert exit_code(["generate", "--scenario", str(scenario),
-                      "--out", out]) == expect
+                      "--out", out]) == (0 if accepted else 2)

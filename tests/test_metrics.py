@@ -71,21 +71,21 @@ class TestFrechetDistance:
         assert frechet_distance(stats, stats) <= 1e-8
 
     def test_one_dim_mean_shift(self):
-        a = FeatureStats(np.array([0.0]), np.array([[1.0]]), 2)
-        b = FeatureStats(np.array([1.0]), np.array([[1.0]]), 2)
+        a = FeatureStats(np.array([0.0]), np.array([[1.0]]))
+        b = FeatureStats(np.array([1.0]), np.array([[1.0]]))
         assert abs(frechet_distance(a, b) - 1.0) <= 1e-10
 
     def test_one_dim_variance_shift(self):
-        a = FeatureStats(np.array([0.0]), np.array([[1.0]]), 2)
-        b = FeatureStats(np.array([0.0]), np.array([[4.0]]), 2)
+        a = FeatureStats(np.array([0.0]), np.array([[1.0]]))
+        b = FeatureStats(np.array([0.0]), np.array([[4.0]]))
         assert abs(frechet_distance(a, b) - 1.0) <= 1e-10
 
     def test_one_dim_closed_form_random(self, rng):
         for _ in range(20):
             m1, m2 = rng.normal(size=2)
             s1, s2 = rng.uniform(0.3, 3.0, size=2)
-            a = FeatureStats(np.array([m1]), np.array([[s1 ** 2]]), 2)
-            b = FeatureStats(np.array([m2]), np.array([[s2 ** 2]]), 2)
+            a = FeatureStats(np.array([m1]), np.array([[s1 ** 2]]))
+            b = FeatureStats(np.array([m2]), np.array([[s2 ** 2]]))
             expect = (m1 - m2) ** 2 + (s1 - s2) ** 2
             assert abs(frechet_distance(a, b) - expect) <= 1e-10
 

@@ -70,7 +70,7 @@ class TestPredictX0:
         mix = GaussianMixture(np.array([1.0]), mu, np.full((1, 4, 2), 1e-8))
         model = ConditionModel(mix, mix)
         x_t = rng.normal(size=(4, 2))
-        out = predict_x0(model, x_t, 500, Condition.SOURCE, schedule)
+        out = predict_x0(model, x_t, 500, schedule)[0]
         np.testing.assert_allclose(out, mu[0], atol=1e-3)
 
     def test_unit_variance_algebra(self, schedule, rng):
@@ -79,7 +79,7 @@ class TestPredictX0:
         a = schedule.alpha_bar[300]
         mu = model.source.means[0]
         expect = mu + np.sqrt(a) * (x_t - np.sqrt(a) * mu)
-        out = predict_x0(model, x_t, 300, Condition.SOURCE, schedule)
+        out = predict_x0(model, x_t, 300, schedule)[0]
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
     def test_two_component_matches_grid_oracle(self, schedule):
@@ -111,7 +111,7 @@ class TestPredictX0:
             w_post = np.exp(log_prior + log_lik)
             w_post /= w_post.sum()
             oracle = np.array([[np.sum(w_post * g0)], [np.sum(w_post * g1)]]).reshape(2, 1)
-            out = predict_x0(model, x_t, t, Condition.SOURCE, schedule)
+            out = predict_x0(model, x_t, t, schedule)[0]
             np.testing.assert_allclose(out, oracle, atol=1e-6)
 
     def test_null_with_extreme_prior_matches_source(self, schedule, rng):
@@ -119,16 +119,15 @@ class TestPredictX0:
         # weights, which makes NULL coincide with the source mixture
         model = make_condition_model({"S": 8, "C": 2, "p0": 1.0 - 1e-16})
         x_t = rng.normal(size=(8, 2))
-        a = predict_x0(model, x_t, 200, Condition.NULL, schedule)
-        b = predict_x0(model, x_t, 200, Condition.SOURCE, schedule)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        source, _, null = predict_x0(model, x_t, 200, schedule)
+        np.testing.assert_allclose(null, source, atol=1e-12)
 
     def test_batched_matches_loop(self, schedule, rng):
         model = make_condition_model({"S": 16, "C": 4})
         x = rng.normal(size=(3, 16, 4))
-        batched = predict_x0(model, x, 600, Condition.NULL, schedule)
+        batched = predict_x0(model, x, 600, schedule)[2]
         for k in range(3):
-            single = predict_x0(model, x[k], 600, Condition.NULL, schedule)
+            single = predict_x0(model, x[k], 600, schedule)[2]
             np.testing.assert_allclose(batched[k], single, atol=1e-14)
 
     def test_prediction_in_component_hull(self, schedule, rng):
@@ -136,7 +135,7 @@ class TestPredictX0:
         # with shared variance all lie between the two component predictions
         model = make_condition_model({"S": 16, "C": 4})
         x_t = rng.normal(size=(16, 4))
-        out = predict_x0(model, x_t, 800, Condition.NULL, schedule)
+        out = predict_x0(model, x_t, 800, schedule)[2]
         assert np.all(np.isfinite(out))
 
     def test_score_consistency_via_finite_differences(self, schedule, rng):
@@ -144,8 +143,8 @@ class TestPredictX0:
         model = make_condition_model({"S": 2, "C": 2})
         for t in (50, 400, 950):
             x_t = rng.normal(size=(2, 2))
-            eps = eps_of_x0(x_t, predict_x0(model, x_t, t, Condition.NULL,
-                                            schedule), t, schedule)
+            eps = eps_of_x0(x_t, predict_x0(model, x_t, t, schedule)[2], t,
+                            schedule)
             h = 1e-5
             grad = np.zeros_like(x_t)
             for i in range(2):
@@ -164,8 +163,7 @@ class TestPredictX0:
     def test_t_zero_rejected(self, schedule, rng):
         model = make_condition_model({"S": 4, "C": 2})
         with pytest.raises(ValueError):
-            predict_x0(model, rng.normal(size=(4, 2)), 0, Condition.SOURCE,
-                       schedule)
+            predict_x0(model, rng.normal(size=(4, 2)), 0, schedule)
 
 
 class TestSampling:

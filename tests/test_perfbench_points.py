@@ -1,12 +1,18 @@
-"""Every function the benchmark's tracer wraps must exist.
+"""Every function the benchmark's tracer wraps must exist and be reached.
 
 ``perfbench/layers.py`` lists the library attributes a traced benchmark run
 wraps; a missing one stops that run.  Resolving them here makes deleting or
-renaming a wrapped function fail the test suite instead.  Only ``perfbench``
-is read: nothing is wrapped or run.
+renaming a wrapped function fail the test suite instead.  A refactor that
+routes a call around its wrap point would otherwise fail only the traced
+run's accounting, so a tiny request of each kind the benchmark makes runs
+under ``perfbench.spans.Tracer`` with one span name per point.  Only
+``perfbench`` is read; nothing under it changes.
 """
 
+import contextlib
 import importlib
+import io
+import json
 import sys
 from pathlib import Path
 
@@ -17,11 +23,37 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench.layers import LAYER_POINTS, REQUEST_POINTS  # noqa: E402
+from perfbench.spans import NAME, Point, Tracer  # noqa: E402
+from pathmix.cli import main  # noqa: E402
 
 POINTS = sorted({(p.module, p.attr) for p in REQUEST_POINTS + LAYER_POINTS})
+
+TINY = {"layout": {"K": 3, "S": 4, "C": 2},
+        "schedule": {"T": 4, "N": 1},
+        "optimizer": {"J": 1},
+        "eval": {"n_clips": 2, "n_pairs": 1}}
+
+# the optimized and the fixed-schedule run of ``generate``, and a pooled,
+# scored ``evaluate``: between them they take every traced path
+REQUESTS = [["generate", "--method", "mdpa"], ["generate", "--method", "sine"],
+            ["evaluate", "--method", "sine", "--runs", "1"]]
 
 
 @pytest.mark.parametrize("module,attr", POINTS,
                          ids=[f"{m}.{a}" for m, a in POINTS])
 def test_wrap_point_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_every_wrap_point_is_reached(tmp_path):
+    scenario = tmp_path / "tiny.json"
+    scenario.write_text(json.dumps(TINY))
+    names = [f"{module}:{attr}" for module, attr in POINTS]
+    tracer = Tracer(Point(module, attr, name)
+                    for (module, attr), name in zip(POINTS, names))
+    with tracer, contextlib.redirect_stdout(io.StringIO()):
+        for i, argv in enumerate(REQUESTS):
+            assert main(argv + ["--scenario", str(scenario), "--seed", "1",
+                                "--out", str(tmp_path / str(i))]) == 0
+    recorded = {span[NAME] for span in tracer.spans}
+    assert [name for name in names if name not in recorded] == []

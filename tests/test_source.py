@@ -12,6 +12,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # what calls the library besides itself: the demos and the benchmark harness,
 # whose own tests are left out
 CALLERS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")])
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,6 +27,24 @@ def unused_imports(source: str) -> list[str]:
             imported.update(a.asname or a.name for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(imported - used)
+
+
+def private_imports(source: str) -> list[str]:
+    """The dotted names a module imports from ``pathmix`` that have a
+    ``_``-prefixed part, sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.update(name for name in names
+                     if name.split(".")[0] == "pathmix"
+                     and any(part.startswith("_")
+                             for part in name.split(".")))
+    return sorted(found)
 
 
 def names_read(nodes) -> set[str]:
@@ -71,6 +90,17 @@ def test_scan_finds_unused_imports():
     assert unused_imports(source) == ["os", "osp", "turn"]
 
 
+def test_scan_finds_private_imports():
+    source = ("import pathmix\nimport pathmix._hidden\n"
+              "from pathmix import predict_x0\n"
+              "from pathmix.mixtures import _known, logsumexp\n"
+              "from other import _private\n"
+              "def f():\n    from pathmix.optim import _interior_basis\n")
+    assert private_imports(source) == ["pathmix._hidden",
+                                       "pathmix.mixtures._known",
+                                       "pathmix.optim._interior_basis"]
+
+
 def test_scan_finds_unreferenced_definitions():
     library = ['"""``dead`` is named here, which is not a call."""\n'
                "from math import pi\n"
@@ -93,6 +123,11 @@ def test_library_modules_found():
                                                          for p in MODULES}
     assert {"01_single_run.py", "client.py", "layers.py"} <= {p.name
                                                               for p in CALLERS}
+
+
+def test_oracles_import_no_private_name():
+    # an oracle that reuses the library's private code checks nothing
+    assert private_imports(ORACLES.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
