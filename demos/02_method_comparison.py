@@ -15,7 +15,7 @@ from pathmix import (Condition, baseline_sample, evaluate, optimized_sample,
 
 N_RUNS = 25
 scenario = scenario_from_dict({"eval": {"n_clips": 100}})
-model = scenario.build_model()
+model = scenario.model
 S = scenario.layout.S
 
 gt = np.concatenate([sample_clips(model, Condition.SOURCE, 50, 1),

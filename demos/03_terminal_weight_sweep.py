@@ -24,14 +24,13 @@ for w_T in (0.0, 0.5, 1.0, 5.0, 20.0):
 # the same trade-off, seen through the unconstrained quadratic optimum at a
 # single mid-noise step
 scenario = scenario_from_dict({})
-schedule = scenario.build_schedule()
-model = scenario.build_model()
+schedule = scenario.schedule
+model = scenario.model
 t = 500
 x_t = initial_segment_noise(scenario.layout, 3)  # stand-in noisy state
 preds = SegmentPredictions(*predict_x0(model, x_t, t, schedule))
 
 print(f"\nunconstrained quadratic optimum at t={t}:")
 for w_T in (0.1, 1.0, 10.0):
-    omega = closed_form_oracle(preds, t, ControlConfig(terminal_weight=w_T),
-                               schedule)
+    omega = closed_form_oracle(preds, t, ControlConfig(w_T=w_T), schedule)
     print(f"  w_T={w_T:5.1f} -> interior omega* = {omega[1:-1]}")

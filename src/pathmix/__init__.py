@@ -10,8 +10,8 @@ from .errors import (DegenerateTimestepError, InvalidConfigError, NumericError,
 from .metrics import (EvalReport, FeatureStats, diversity, dynamics_stats,
                       evaluate, frechet_distance, geometric_features,
                       kinetic_features, standardize)
-from .mixtures import (Condition, ConditionModel, GaussianMixture,
-                       make_condition_model, predict_x0, sample_clips)
+from .mixtures import (Condition, ConditionModel, GaussianMixture, predict_x0,
+                       sample_clips)
 from .optim import (MixingSchedule, OptimizerConfig, closed_form_oracle,
                     energy_gradient, optimize_mixing)
 from .sampling import (RunResult, SegmentLayout, baseline_sample,

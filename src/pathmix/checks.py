@@ -120,7 +120,7 @@ def check_gradient_fd() -> CheckResult:
 def check_oracle_convergence() -> CheckResult:
     schedule = build_cosine_schedule(1000)
     cfg = ControlConfig()
-    opt = OptimizerConfig(steps=500, lr=0.1)
+    opt = OptimizerConfig(J=500, lr=0.1)
     rng = np.random.default_rng(53)
     err = 0.0
     done = 0

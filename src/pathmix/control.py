@@ -10,7 +10,6 @@ evaluator and the terms the optimizer's quadratic model is built from.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,8 +18,6 @@ import numpy as np
 from .errors import DegenerateTimestepError, InvalidConfigError
 from .schedules import NoiseSchedule, eps_of_x0
 from .segments import align_root
-
-log = logging.getLogger(__name__)
 
 POSTERIOR_VAR_FLOOR = 1e-12
 
@@ -33,25 +30,23 @@ MAX_TERMINAL_WEIGHT = 1e100
 
 @dataclass(frozen=True)
 class ControlConfig:
-    terminal_weight: float = 1.0          # w_T
+    w_T: float = 1.0                      # terminal (stitch) weight
     lambda_mode: str = "posterior"        # "posterior" | "unit"
     sigmoid_sharpness: float = 10.0
 
     def __post_init__(self):
-        for key, name in (("w_T", "terminal_weight"),
-                          ("sigmoid_sharpness", "sigmoid_sharpness")):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidConfigError(f"control.{key}: {name} must be finite")
-        if not 0 <= self.terminal_weight <= MAX_TERMINAL_WEIGHT:
+        for key in ("w_T", "sigmoid_sharpness"):
+            if not np.isfinite(getattr(self, key)):
+                raise InvalidConfigError(f"control.{key} must be finite")
+        if not 0 <= self.w_T <= MAX_TERMINAL_WEIGHT:
             raise InvalidConfigError(
-                "control.w_T: terminal_weight must lie in "
-                f"[0, {MAX_TERMINAL_WEIGHT:g}], got {self.terminal_weight:g}")
+                f"control.w_T must lie in [0, {MAX_TERMINAL_WEIGHT:g}], "
+                f"got {self.w_T:g}")
         if self.lambda_mode not in ("posterior", "unit"):
-            raise InvalidConfigError("control.lambda_mode: unknown lambda_mode "
-                                     f"{self.lambda_mode!r}")
-        if self.sigmoid_sharpness <= 0:
             raise InvalidConfigError(
-                "control.sigmoid_sharpness: sigmoid_sharpness must be > 0")
+                f"control.lambda_mode: unknown lambda_mode {self.lambda_mode!r}")
+        if self.sigmoid_sharpness <= 0:
+            raise InvalidConfigError("control.sigmoid_sharpness must be > 0")
 
 
 @dataclass(frozen=True)
@@ -115,8 +110,10 @@ def lambda_weight(t: int, schedule: NoiseSchedule, mode: str = "posterior") -> f
     """Per-timestep weight on the squared noise-space deviation.
 
     "posterior" is the DDPM reverse-transition KL constant
-    beta_t^2 / (2 (1 - beta_t) (1 - alpha_bar_t) posterior_var_t);
-    "unit" returns 1 for ablations.
+    beta_t^2 / (2 (1 - beta_t) (1 - alpha_bar_t) posterior_var_t), with
+    posterior_var_t floored at POSTERIOR_VAR_FLOOR: it is 0 at t = 1 by
+    construction, so a plan that reaches t = 1 gets a large finite weight
+    there rather than a division by zero.  "unit" returns 1 for ablations.
     """
     if t < 1:
         raise DegenerateTimestepError("lambda undefined at t=0")
@@ -125,11 +122,7 @@ def lambda_weight(t: int, schedule: NoiseSchedule, mode: str = "posterior") -> f
     if mode != "posterior":
         raise InvalidConfigError(f"unknown lambda mode {mode!r}")
     beta = schedule.beta[t]
-    pv = schedule.posterior_var[t]
-    if pv < POSTERIOR_VAR_FLOOR:
-        log.warning("posterior_var[%d]=%g floored to %g in lambda_weight",
-                    t, pv, POSTERIOR_VAR_FLOOR)
-        pv = POSTERIOR_VAR_FLOOR
+    pv = max(schedule.posterior_var[t], POSTERIOR_VAR_FLOOR)
     return beta ** 2 / (2.0 * (1.0 - beta) * (1.0 - schedule.alpha_bar[t]) * pv)
 
 
@@ -194,8 +187,7 @@ def control_energy(preds: SegmentPredictions, omega: np.ndarray, t: int,
     mixed = preds.mixed(omega)
     per_seg = lam * c2 * ((preds.uncond - mixed) ** 2).sum(axis=(1, 2))
     transient = float(per_seg.sum())
-    terminal = config.terminal_weight * stitch_cost(
-        align_root(mixed, root_channel))
+    terminal = config.w_T * stitch_cost(align_root(mixed, root_channel))
     return EnergyBreakdown(transient, terminal, transient + terminal, per_seg)
 
 

@@ -20,17 +20,24 @@ from .schedules import NoiseSchedule
 
 VARIANCE_FLOOR = 1e-8
 
-# the scenario's domains defaults: each condition's toy spec and the prior p0
+# The scenario's domains defaults: each condition's toy spec and the prior
+# p0.  The source puts two low-frequency sinusoid cycles per segment and the
+# target six, with equal variances DEFAULT_VARIANCE and distinct linear drifts
+# on the root channel so root alignment is non-trivial.  Whole cycle counts
+# over the half-segment overlap keep the sinusoids periodic across stitched
+# boundaries, so the stitch cost acts as a smoothness penalty rather than
+# favoring sign-flipped neighbors.
 DOMAIN_DEFAULTS = {"c0": {"kind": "toy", "cycles": 2.0, "root_drift": 0.5},
                    "c1": {"kind": "toy", "cycles": 6.0, "root_drift": 1.5},
                    "p0": 0.5}
 DEFAULT_VARIANCE = 0.05  # of a toy domain or a component entry
 
-# Largest |mean| and |root_drift| accepted at load; variances up to its
-# square.  The latent gradient Adam squares grows with w_T times the square
-# of the predictions' scale: at control.w_T's bound of 1e100 a mean of 1e27
-# overflows the second moment, and at w_T = 1 one of about 1e71 does, so this
-# bound leaves seven orders of magnitude.
+# Largest |mean|, |root_drift| and component weight accepted at load;
+# variances up to its square.  The latent gradient Adam squares grows with
+# w_T times the square of the predictions' scale: at control.w_T's bound of
+# 1e100 a mean of 1e27 overflows the second moment, and at w_T = 1 one of
+# about 1e71 does, so this bound leaves seven orders of magnitude.  Weights
+# are normalized by their sum, which this bound keeps finite.
 MAX_DOMAIN_SCALE = 1e20
 
 
@@ -175,13 +182,14 @@ def _known(spec: dict, keys: set, where: str):
             f"{where}.{key}" for key in unknown))
 
 
-def _mixture_from_spec(spec: dict, defaults: dict, S: int, C: int,
-                       root_channel: int, where: str) -> GaussianMixture:
+def _mixture_from_spec(spec: dict, S: int, C: int, root_channel: int,
+                       where: str) -> GaussianMixture:
+    """The mixture of one domain spec, a toy spec already merged over its
+    DOMAIN_DEFAULTS entry; an InvalidConfigError names where.key."""
     if not isinstance(spec, dict):
         raise InvalidConfigError(f"{where} must be an object, got {spec!r}")
-    kind = spec.get("kind", "toy")
+    kind = spec.get("kind")
     if kind == "toy":
-        spec = {**defaults, **spec}
         _known(spec, {"kind", "cycles", "root_drift", "variance"}, where)
         mean = _toy_mean(S, C, _finite(spec, "cycles", where),
                          _finite(spec, "root_drift", where,
@@ -201,10 +209,11 @@ def _mixture_from_spec(spec: dict, defaults: dict, S: int, C: int,
         parts = [(c, f"{where}.components[{i}]") for i, c in enumerate(comps)]
         for c, n in parts:
             _known(c, {"weight", "mean", "variance"}, n)
-        weights = np.array([_finite(c, "weight", n) for c, n in parts])
-        if np.any(weights < 0) or not weights.sum() > 0:
+        weights = np.array([_finite(c, "weight", n, least=0,
+                                    most=MAX_DOMAIN_SCALE) for c, n in parts])
+        if not weights.sum() > 0:
             raise InvalidConfigError(
-                f"{where} component weights must be >= 0 with a positive sum")
+                f"{where} component weights must have a positive sum")
         means = np.stack([_finite(c, "mean", n, None, (S, C),
                                   least=-MAX_DOMAIN_SCALE,
                                   most=MAX_DOMAIN_SCALE) for c, n in parts])
@@ -214,33 +223,6 @@ def _mixture_from_spec(spec: dict, defaults: dict, S: int, C: int,
                               for c, n in parts])
         return GaussianMixture(weights / weights.sum(), means, variances)
     raise InvalidConfigError(f"{where}.kind: unknown domain kind {kind!r}")
-
-
-def make_condition_model(spec: dict) -> ConditionModel:
-    """Build a ConditionModel from a scenario's domains section plus S, C.
-
-    Keys: S, C, root_channel (default 0), c0, c1 (domain specs), p0, each
-    defaulting to its DOMAIN_DEFAULTS entry; a toy spec's missing keys take
-    its own domain's.
-    The default toy domains put two low-frequency sinusoid cycles per
-    segment in the source and six in the target, equal variances 0.05, and
-    distinct linear drifts on the root channel so root alignment is
-    non-trivial.  Whole cycle counts over the half-segment overlap keep the
-    sinusoids periodic across stitched boundaries, so the stitch cost acts
-    as a smoothness penalty rather than favoring sign-flipped neighbors.
-    """
-    S, C = int(spec["S"]), int(spec["C"])
-    root = int(spec.get("root_channel", 0))
-    if S < 1 or C < 1:
-        raise InvalidConfigError("S and C must be positive")
-    if not 0 <= root < C:
-        raise InvalidConfigError(f"root channel {root} out of range")
-    source, target = (_mixture_from_spec(spec.get(name, {}),
-                                         DOMAIN_DEFAULTS[name], S, C, root,
-                                         f"domains.{name}")
-                      for name in ("c0", "c1"))
-    return ConditionModel(source, target,
-                          float(spec.get("p0", DOMAIN_DEFAULTS["p0"])))
 
 
 def predict_x0(model: ConditionModel, x_t: np.ndarray, t: int,

@@ -31,17 +31,17 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    steps: int = 20        # J
+    J: int = 20            # Adam steps per denoising step
     lr: float = 0.01
     warm_start: bool = True
 
     def __post_init__(self):
         if not np.isfinite(self.lr):
-            raise InvalidConfigError("optimizer.lr: lr must be finite")
-        if self.steps < 0:
-            raise InvalidConfigError("optimizer.J: steps must be >= 0")
+            raise InvalidConfigError("optimizer.lr must be finite")
+        if self.J < 0:
+            raise InvalidConfigError(f"optimizer.J must be >= 0, got {self.J}")
         if self.lr <= 0:
-            raise InvalidConfigError("optimizer.lr: lr must be > 0")
+            raise InvalidConfigError("optimizer.lr must be > 0")
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class _QuadraticEnergy:
                  control_config: ControlConfig, schedule: NoiseSchedule,
                  root_channel: int = 0):
         self.K = K = preds.num_segments
-        self.w_T = control_config.terminal_weight
+        self.w_T = control_config.w_T
         self.q2, self.q1, self.q0 = transient_coefficients(
             preds, t, control_config, schedule)
         aligned = align_root(preds.mixed(_interior_basis(K)), root_channel)
@@ -189,7 +189,7 @@ def optimize_mixing(preds: SegmentPredictions, t: int,
     rows = [zs.copy()]
     m = [0.0] * (K - 2)
     v = [0.0] * (K - 2)
-    for count in range(1, opt_config.steps + 1):
+    for count in range(1, opt_config.J + 1):
         es = np.exp([-abs(zi) for zi in zs]).tolist()
         us = [(1.0 if zi >= 0 else e) / (1.0 + e) for zi, e in zip(zs, es)]
         hu = hess.dot(us).tolist()

@@ -22,7 +22,7 @@ from .control import ControlConfig
 from .errors import ScenarioError
 from .metrics import EvalReport
 from .mixtures import (DOMAIN_DEFAULTS, ConditionModel, _known,
-                       make_condition_model)
+                       _mixture_from_spec)
 from .optim import OptimizerConfig
 from .sampling import MAX_LAYOUT_VALUES, RunResult, SegmentLayout
 from .schedules import (NoiseSchedule, TimestepPlan, build_cosine_schedule,
@@ -32,9 +32,8 @@ DEFAULTS = {
     "layout": {"K": 4, "S": 16, "C": 4, "root_channel": 0},
     "domains": DOMAIN_DEFAULTS,
     "schedule": {"T": 1000, "N": 50},
-    "optimizer": {"J": 20, "lr": 0.01, "warm_start": True},
-    "control": {"w_T": 1.0, "lambda_mode": "posterior",
-                "sigmoid_sharpness": 10.0},
+    "optimizer": asdict(OptimizerConfig()),
+    "control": asdict(ControlConfig()),
     "eval": {"n_clips": 200, "n_pairs": 2000},
     "seed": 0,
 }
@@ -69,10 +68,12 @@ class Scenario:
         return select_ddim_timesteps(schedule, self.ddim_steps)
 
     def build_model(self) -> ConditionModel:
-        spec = self.to_dict()["domains"]
-        spec["S"], spec["C"] = self.layout.S, self.layout.C
-        spec["root_channel"] = self.layout.root_channel
-        return make_condition_model(spec)
+        domains, lay = self.to_dict()["domains"], self.layout
+        return ConditionModel(
+            *(_mixture_from_spec(domains[name], lay.S, lay.C,
+                                 lay.root_channel, f"domains.{name}")
+              for name in ("c0", "c1")),
+            domains["p0"])
 
     # Built once per scenario and shared by all of its runs.
     @cached_property
@@ -137,8 +138,6 @@ def _check_counts(T: int, N: int, J: int, layout: SegmentLayout,
     if not 1 <= N <= T:
         raise ScenarioError(f"schedule.N must lie in [1, T] = [1, {T}], "
                             f"got {N}")
-    if J < 0:
-        raise ScenarioError(f"optimizer.J must be >= 0, got {J}")
     for names, size in (
             ("optimizer.J and layout.K give (J+1)*K", (J + 1) * layout.K),
             ("eval.n_clips, layout.S and layout.C give n_clips*S*C",
@@ -155,19 +154,19 @@ def scenario_from_dict(raw: dict) -> Scenario:
         for name, default in DEFAULTS.items():
             if isinstance(default, dict):
                 top[name] = _merge_section(name, top[name], default)
-        lay, opt, ctl = top["layout"], top["optimizer"], top["control"]
+        domains = top["domains"]
+        for name in ("c0", "c1"):  # each toy spec over its domain's defaults
+            spec = domains[name]
+            if isinstance(spec, dict) and spec.get("kind", "toy") == "toy":
+                domains[name] = {**DOMAIN_DEFAULTS[name], **spec}
+        layout = SegmentLayout(**top["layout"])
         T, N = top["schedule"]["T"], top["schedule"]["N"]
-        layout = SegmentLayout(lay["K"], lay["S"], lay["C"],
-                               lay["root_channel"])
-        _check_counts(T, N, opt["J"], layout, top["eval"]["n_clips"],
-                      top["eval"]["n_pairs"])
+        _check_counts(T, N, top["optimizer"]["J"], layout,
+                      top["eval"]["n_clips"], top["eval"]["n_pairs"])
         return Scenario(
             layout=layout, total_steps=T, ddim_steps=N,
-            optimizer=OptimizerConfig(steps=opt["J"], lr=opt["lr"],
-                                      warm_start=opt["warm_start"]),
-            control=ControlConfig(terminal_weight=ctl["w_T"],
-                                  lambda_mode=ctl["lambda_mode"],
-                                  sigmoid_sharpness=ctl["sigmoid_sharpness"]),
+            optimizer=OptimizerConfig(**top["optimizer"]),
+            control=ControlConfig(**top["control"]),
             eval_n_clips=top["eval"]["n_clips"],
             eval_n_pairs=top["eval"]["n_pairs"],
             seed=top["seed"],

@@ -13,15 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from models import scenario_model
 from oracles import conditional_ddim_sample, domain_log_likelihood
 from pathmix import (Condition, ControlConfig, OptimizerConfig, FeatureStats,
                      SegmentPredictions, baseline_sample, build_cosine_schedule,
                      closed_form_oracle, control_energy, energy_gradient,
                      eps_of_x0, evaluate, forward_diffuse, frechet_distance,
-                     hard_stitch_project, lambda_weight, make_condition_model,
-                     optimize_mixing, optimized_sample, reverse_kl_check,
-                     sample_clips, scenario_from_dict, select_ddim_timesteps,
-                     slice_windows, tweedie_x0)
+                     hard_stitch_project, lambda_weight, optimize_mixing,
+                     optimized_sample, reverse_kl_check, sample_clips,
+                     scenario_from_dict, select_ddim_timesteps, slice_windows,
+                     tweedie_x0)
 from pathmix.cli import main
 from pathmix.metrics import _psd_sqrt
 from pathmix.optim import omega_of_latent
@@ -189,7 +190,7 @@ def test_criterion_3_gradient_correctness(schedule):
 def test_criterion_4_optimizer_vs_oracle(schedule):
     rng = np.random.default_rng(4)
     cfg = ControlConfig()
-    long_run = OptimizerConfig(steps=500, lr=0.1)
+    long_run = OptimizerConfig(J=500, lr=0.1)
     worst_gap = 0.0
     done = 0
     while done < 20:
@@ -205,7 +206,7 @@ def test_criterion_4_optimizer_vs_oracle(schedule):
         worst_gap = max(worst_gap, (e_opt - e_star) / abs(e_star))
         done += 1
 
-    default_run = OptimizerConfig(steps=20, lr=0.01)
+    default_run = OptimizerConfig(J=20, lr=0.01)
     best_iterate_ok = True
     for _ in range(20):
         preds = interior_instance(rng, 4)
@@ -227,7 +228,7 @@ def test_criterion_5_sampler_correctness():
                    "components": [{"weight": 1.0, "mean": 0.0,
                                    "variance": 1.0}]},
             "c1": {"kind": "toy"}}
-    model = make_condition_model(spec)
+    model = scenario_model(**spec)
     schedule = build_cosine_schedule(1000)
     plan = select_ddim_timesteps(schedule, 100)
     clips = conditional_ddim_sample(model, Condition.SOURCE, schedule, plan,
@@ -280,7 +281,7 @@ def test_criterion_9_metric_suite():
         closed = max(closed, abs(frechet_distance(a, b)
                                  - ((m1 - m2) ** 2 + (s1 - s2) ** 2)))
 
-    model = make_condition_model({"S": 16, "C": 4})
+    model = scenario_model(S=16, C=4)
     clips = sample_clips(model, Condition.SOURCE, 200, 99)
     self_fid = max(evaluate(clips, clips, 200, 0).fid_kinetic,
                    evaluate(clips, clips, 200, 0).fid_geometric)
@@ -298,7 +299,7 @@ def test_criterion_9_metric_suite():
                      "components": [{"weight": 1.0, "mean": 0.0,
                                      "variance": 1.0}]},
               "c1": {"kind": "toy"}}
-    null_model = make_condition_model(single)
+    null_model = scenario_model(**single)
     null = []
     for rep in range(30):
         a = sample_clips(null_model, Condition.SOURCE, 500, 5000 + 2 * rep)

@@ -120,7 +120,7 @@ def loop_optimize_mixing(preds, t, opt, cfg, schedule, z_init=None):
     K = preds.num_segments
     state = AdamState.fresh(np.zeros(K - 2) if z_init is None else z_init)
     trace, best = [], None
-    for j in range(opt.steps + 1):
+    for j in range(opt.J + 1):
         u = sigmoid(state.z)
         omega = np.concatenate([[0.0], u, [1.0]])
         per_seg = quad.q2 * omega ** 2 + quad.q1 * omega + quad.q0
@@ -134,7 +134,7 @@ def loop_optimize_mixing(preds, t, opt, cfg, schedule, z_init=None):
         trace.append((omega, energy))
         if best is None or energy.total < best[2].total:
             best = (state.z, omega, energy)
-        if j == opt.steps:
+        if j == opt.J:
             break
         state = adam_update(state, quad.grad_latent(u), opt)
     return best, trace
@@ -318,7 +318,7 @@ def test_optimize_mixing_matches_interleaved_loop(rng, K, warm):
                 assert np.array_equal(m.z, z)
                 assert np.array_equal(m.omega, omega)
                 assert same_energy(m.energy, energy)
-                assert len(m.step_trace) == len(trace) == opt.steps + 1
+                assert len(m.step_trace) == len(trace) == opt.J + 1
                 for (got_omega, got), (want_omega, want) in zip(m.step_trace,
                                                                 trace):
                     assert np.array_equal(got_omega, want_omega)

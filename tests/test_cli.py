@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 import pathmix.checks
 from pathmix.checks import check_kl_proportionality, run_check
 from pathmix.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +201,24 @@ class TestGenerate:
                                     "schedule": {"N": 4}}))
         assert main(["generate", "--scenario", str(path), "--out",
                      str(tmp_path / "o")]) == 0
+
+    def test_plan_reaching_t1_writes_nothing_to_stderr(self, tmp_path):
+        # with N = T the last step is t = 1, where posterior_var is 0 and
+        # lambda_weight floors it; run as its own process, so that the
+        # test harness's log capture cannot hide what reaches stderr
+        path = tmp_path / "to_t1.json"
+        path.write_text(json.dumps({**TINY, "schedule": {"T": 4, "N": 4}}))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "pathmix.cli", "generate", "--scenario",
+             str(path), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env)
+        assert done.returncode == 0 and done.stderr == ""
+        rows = read_csv(tmp_path / "o" / "energy.csv")[1:]
+        assert len(rows) == 4
+        assert all(np.isfinite(float(v)) for row in rows
+                   for v in row.split(","))
 
     def test_seed_determinism_byte_identical(self, fast_scenario_path,
                                              tmp_path):

@@ -177,7 +177,7 @@ class TestControlEnergy:
 
     def test_zero_terminal_weight(self, schedule, rng):
         preds = random_preds(rng)
-        cfg = ControlConfig(terminal_weight=0.0)
+        cfg = ControlConfig(w_T=0.0)
         e = control_energy(preds, pinned_omega([0.2, 0.9]), 300, cfg, schedule)
         assert e.terminal == 0.0
         assert e.total == e.transient
@@ -197,7 +197,7 @@ class TestControlEnergy:
         x = rng.normal(size=(3, 16, 4))
         omega = pinned_omega([0.41])
         t = 412
-        cfg = ControlConfig(terminal_weight=1.7)
+        cfg = ControlConfig(w_T=1.7)
         e = control_energy(preds, omega, t, cfg, schedule)
 
         lam = lambda_weight(t, schedule, "posterior")
@@ -210,7 +210,7 @@ class TestControlEnergy:
                      - eps_of_x0(x[k], preds.uncond[k], t, schedule))
             transient += lam * np.sum(delta ** 2)
         aligned = align_root(mixed)
-        terminal = cfg.terminal_weight * (
+        terminal = cfg.w_T * (
             np.sum((aligned[1, :8] - aligned[0, 8:]) ** 2)
             + np.sum((aligned[2, :8] - aligned[1, 8:]) ** 2))
         assert abs(e.transient - transient) / transient < 1e-12
@@ -239,7 +239,7 @@ class TestControlEnergy:
 class TestOmegaGradients:
     def test_transient_coefficients_reproduce_energy(self, schedule, rng):
         preds = random_preds(rng)
-        cfg = ControlConfig(terminal_weight=0.0)
+        cfg = ControlConfig(w_T=0.0)
         q2, q1, q0 = transient_coefficients(preds, 888, cfg, schedule)
         omega = pinned_omega([0.25, 0.7])
         e = control_energy(preds, omega, 888, cfg, schedule)
@@ -253,7 +253,7 @@ class TestOmegaGradients:
         # accumulated root shift
         preds = random_preds(rng, K=5)
         rng.normal(size=(5, 16, 4))  # unused draw: keeps the seeded instances
-        cfg = ControlConfig(terminal_weight=2.0)
+        cfg = ControlConfig(w_T=2.0)
         omega = pinned_omega(rng.uniform(0.2, 0.8, size=3))
         grad = _QuadraticEnergy(preds, 333, cfg, schedule).grad_interior(
             omega[1:-1])

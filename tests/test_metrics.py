@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from models import scenario_model
 from pathmix import (Condition, FeatureStats, InvalidConfigError, diversity,
                      dynamics_stats, evaluate, frechet_distance,
-                     geometric_features, kinetic_features,
-                     make_condition_model, sample_clips, standardize)
+                     geometric_features, kinetic_features, sample_clips,
+                     standardize)
 from pathmix.metrics import _psd_sqrt
 
 
@@ -153,7 +154,7 @@ class TestDynamicsStats:
 
 class TestEvaluate:
     def test_identical_sets(self, rng):
-        model = make_condition_model({"S": 16, "C": 4})
+        model = scenario_model(S=16, C=4)
         clips = sample_clips(model, Condition.SOURCE, 100, 5)
         report = evaluate(clips, clips, 500, 3)
         assert report.fid_kinetic <= 1e-6
@@ -168,7 +169,7 @@ class TestEvaluate:
                        "components": [{"weight": 1.0, "mean": 0.0,
                                        "variance": 1.0}]},
                 "c1": {"kind": "toy"}}
-        model = make_condition_model(spec)
+        model = scenario_model(**spec)
         null = []
         for rep in range(30):
             a = sample_clips(model, Condition.SOURCE, 500, 1000 + 2 * rep)
@@ -180,7 +181,7 @@ class TestEvaluate:
         assert evaluate(a, b, 100, 0).fid_kinetic < threshold
 
     def test_cross_domain_exceeds_null(self):
-        model = make_condition_model({"S": 16, "C": 4})
+        model = scenario_model(S=16, C=4)
         null = []
         for rep in range(20):
             a = sample_clips(model, Condition.SOURCE, 200, 100 + 2 * rep)
@@ -192,7 +193,7 @@ class TestEvaluate:
         assert evaluate(gen, gt, 100, 0).fid_kinetic > threshold
 
     def test_diversity_consistent_with_direct_call(self, rng):
-        model = make_condition_model({"S": 16, "C": 4})
+        model = scenario_model(S=16, C=4)
         clips = sample_clips(model, Condition.SOURCE, 60, 12)
         report = evaluate(clips, clips, 300, 17)
         feats = np.stack([kinetic_features(c) for c in clips])

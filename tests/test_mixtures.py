@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from models import scenario_model
 from oracles import domain_log_likelihood, marginal_log_density
 from pathmix import (Condition, ConditionModel, GaussianMixture,
-                     InvalidConfigError, eps_of_x0, make_condition_model,
-                     predict_x0, sample_clips)
+                     InvalidConfigError, ScenarioError, eps_of_x0, predict_x0,
+                     sample_clips)
 
 
 def single_gaussian_model(S=4, C=2, mean=0.0, variance=1.0):
@@ -16,12 +17,12 @@ def single_gaussian_model(S=4, C=2, mean=0.0, variance=1.0):
             "c1": {"kind": "components",
                    "components": [{"weight": 1.0, "mean": mean + 1.0,
                                    "variance": variance}]}}
-    return make_condition_model(spec)
+    return scenario_model(**spec)
 
 
 class TestConstruction:
     def test_default_toy_shapes(self):
-        model = make_condition_model({"S": 16, "C": 4})
+        model = scenario_model(S=16, C=4)
         assert model.shape == (16, 4)
         assert model.source.means.shape == (1, 16, 4)
         assert model.target.means.shape == (1, 16, 4)
@@ -33,19 +34,18 @@ class TestConstruction:
                        "components": [{"weight": 0.7, "mean": 0.0},
                                       {"weight": 0.3, "mean": 1.0}]},
                 "c1": {"kind": "toy"}}
-        model = make_condition_model(spec)
+        model = scenario_model(**spec)
         assert abs(model.source.weights.sum() - 1.0) <= 1e-12
 
     def test_empty_components_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            make_condition_model(
-                {"S": 4, "C": 2, "c0": {"kind": "components"},
-                 "c1": {"kind": "toy"}})
+        with pytest.raises(ScenarioError, match=r"domains\.c0\.components"):
+            scenario_model(S=4, C=2, c0={"kind": "components"},
+                           c1={"kind": "toy"})
 
     @pytest.mark.parametrize("root", [-1, 2])
     def test_root_channel_out_of_range_rejected(self, root):
-        with pytest.raises(InvalidConfigError, match="root channel"):
-            make_condition_model({"S": 4, "C": 2, "root_channel": root})
+        with pytest.raises(ScenarioError, match=r"layout\.root_channel"):
+            scenario_model(S=4, C=2, root_channel=root)
 
     def test_small_variance_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -53,14 +53,14 @@ class TestConstruction:
                             np.full((1, 4, 2), 1e-9))
 
     def test_null_mixture_is_weighted_union(self):
-        model = make_condition_model({"S": 8, "C": 2, "p0": 0.3})
+        model = scenario_model(S=8, C=2, p0=0.3)
         null = model.mixture(Condition.NULL)
         np.testing.assert_allclose(null.weights, [0.3, 0.7])
         np.testing.assert_array_equal(null.means[0], model.source.means[0])
         np.testing.assert_array_equal(null.means[1], model.target.means[0])
 
     def test_null_mixture_built_once(self):
-        model = make_condition_model({"S": 8, "C": 2})
+        model = scenario_model(S=8, C=2)
         assert model.mixture(Condition.NULL) is model.mixture(Condition.NULL)
 
 
@@ -92,7 +92,7 @@ class TestPredictX0:
                                       {"weight": 0.4, "mean": 1.5,
                                        "variance": 0.8}]},
                 "c1": {"kind": "toy"}}
-        model = make_condition_model(spec)
+        model = scenario_model(**spec)
         t = 400
         a = schedule.alpha_bar[t]
         grid = np.linspace(-8.0, 8.0, 801)
@@ -117,13 +117,13 @@ class TestPredictX0:
     def test_null_with_extreme_prior_matches_source(self, schedule, rng):
         # p0 must be strictly inside (0,1); 1 - 1e-16 rounds to 1 in the
         # weights, which makes NULL coincide with the source mixture
-        model = make_condition_model({"S": 8, "C": 2, "p0": 1.0 - 1e-16})
+        model = scenario_model(S=8, C=2, p0=1.0 - 1e-16)
         x_t = rng.normal(size=(8, 2))
         source, _, null = predict_x0(model, x_t, 200, schedule)
         np.testing.assert_allclose(null, source, atol=1e-12)
 
     def test_batched_matches_loop(self, schedule, rng):
-        model = make_condition_model({"S": 16, "C": 4})
+        model = scenario_model(S=16, C=4)
         x = rng.normal(size=(3, 16, 4))
         batched = predict_x0(model, x, 600, schedule)[2]
         for k in range(3):
@@ -133,14 +133,14 @@ class TestPredictX0:
     def test_prediction_in_component_hull(self, schedule, rng):
         # posterior mean is a convex combination of per-component posteriors;
         # with shared variance all lie between the two component predictions
-        model = make_condition_model({"S": 16, "C": 4})
+        model = scenario_model(S=16, C=4)
         x_t = rng.normal(size=(16, 4))
         out = predict_x0(model, x_t, 800, schedule)[2]
         assert np.all(np.isfinite(out))
 
     def test_score_consistency_via_finite_differences(self, schedule, rng):
         # eps_of_x0(x_t, E[x0|x_t]) must equal -sqrt(1-a) * grad log p_t(x_t)
-        model = make_condition_model({"S": 2, "C": 2})
+        model = scenario_model(S=2, C=2)
         for t in (50, 400, 950):
             x_t = rng.normal(size=(2, 2))
             eps = eps_of_x0(x_t, predict_x0(model, x_t, t, schedule)[2], t,
@@ -161,14 +161,14 @@ class TestPredictX0:
             np.testing.assert_allclose(eps, expect, rtol=1e-4, atol=1e-6)
 
     def test_t_zero_rejected(self, schedule, rng):
-        model = make_condition_model({"S": 4, "C": 2})
+        model = scenario_model(S=4, C=2)
         with pytest.raises(ValueError):
             predict_x0(model, rng.normal(size=(4, 2)), 0, schedule)
 
 
 class TestSampling:
     def test_monte_carlo_mean(self):
-        model = make_condition_model({"S": 16, "C": 4})
+        model = scenario_model(S=16, C=4)
         clips = sample_clips(model, Condition.SOURCE, 1000, 7)
         sigma = np.sqrt(0.05)
         bound = 5.0 * sigma / np.sqrt(1000)
@@ -181,7 +181,7 @@ class TestSampling:
         assert np.max(np.abs(clips - model.source.means[0])) < 1e-3
 
     def test_seed_determinism(self):
-        model = make_condition_model({"S": 8, "C": 2})
+        model = scenario_model(S=8, C=2)
         a = sample_clips(model, Condition.TARGET, 50, 11)
         b = sample_clips(model, Condition.TARGET, 50, 11)
         np.testing.assert_array_equal(a, b)
@@ -189,13 +189,13 @@ class TestSampling:
 
 class TestDomainLogLikelihood:
     def test_component_mean_classifies_correctly(self):
-        model = make_condition_model({"S": 16, "C": 4})
+        model = scenario_model(S=16, C=4)
         clip = model.source.means[0]
         assert (domain_log_likelihood(model, clip, Condition.SOURCE)
                 > domain_log_likelihood(model, clip, Condition.TARGET))
 
     def test_null_is_logsumexp_of_conditions(self, rng):
-        model = make_condition_model({"S": 16, "C": 4, "p0": 0.4})
+        model = scenario_model(S=16, C=4, p0=0.4)
         clip = rng.normal(size=(16, 4))
         ll0 = domain_log_likelihood(model, clip, Condition.SOURCE)
         ll1 = domain_log_likelihood(model, clip, Condition.TARGET)

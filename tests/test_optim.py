@@ -88,7 +88,7 @@ class TestEnergyGradient:
     def test_sign_flip_across_scalar_minimum(self, schedule, rng):
         # w_T = 0, one interior segment: the transient is a 1-D quadratic in
         # omega, so the z-gradient changes sign across its minimum
-        cfg = ControlConfig(terminal_weight=0.0)
+        cfg = ControlConfig(w_T=0.0)
         preds = interior_instance(rng, 3)
         omega_star = closed_form_oracle(preds, 500, cfg, schedule)[1]
         assert 0.05 < omega_star < 0.95
@@ -118,7 +118,7 @@ class TestEnergyGradient:
 class TestOptimizeMixing:
     def test_zero_steps_returns_init(self, schedule, rng):
         preds = interior_instance(rng, 4)
-        m = optimize_mixing(preds, 400, OptimizerConfig(steps=0),
+        m = optimize_mixing(preds, 400, OptimizerConfig(J=0),
                             ControlConfig(), schedule)
         np.testing.assert_array_equal(m.omega, [0.0, 0.5, 0.5, 1.0])
         assert len(m.step_trace) == 1
@@ -129,7 +129,7 @@ class TestOptimizeMixing:
                             schedule)
         np.testing.assert_array_equal(m.omega, [0.0, 1.0])
         assert m.z.shape == (0,)
-        assert len(m.step_trace) == OptimizerConfig().steps + 1
+        assert len(m.step_trace) == OptimizerConfig().J + 1
 
     def test_non_finite_energy_names_inner_step(self, schedule, rng):
         preds = interior_instance(rng, 4)
@@ -151,7 +151,7 @@ class TestOptimizeMixing:
 
     def test_trace_length_and_pins(self, schedule, rng):
         preds = interior_instance(rng, 4)
-        m = optimize_mixing(preds, 400, OptimizerConfig(steps=20, lr=0.01),
+        m = optimize_mixing(preds, 400, OptimizerConfig(J=20, lr=0.01),
                             ControlConfig(), schedule)
         assert len(m.step_trace) == 21
         for omega, _ in m.step_trace:
@@ -161,7 +161,7 @@ class TestOptimizeMixing:
         for _ in range(10):
             preds = interior_instance(rng, 5)
             m = optimize_mixing(preds, int(rng.integers(1, 1001)),
-                                OptimizerConfig(steps=20, lr=0.01),
+                                OptimizerConfig(J=20, lr=0.01),
                                 ControlConfig(), schedule)
             energies = [e.total for _, e in m.step_trace]
             assert min(energies) <= energies[0]
@@ -172,7 +172,7 @@ class TestOptimizeMixing:
         prev = np.inf
         for steps in (0, 5, 20, 80):
             m = optimize_mixing(preds, 700,
-                                OptimizerConfig(steps=steps, lr=0.05), cfg,
+                                OptimizerConfig(J=steps, lr=0.05), cfg,
                                 schedule)
             best = min(e.total for _, e in m.step_trace)
             assert best <= prev + 1e-15
@@ -191,7 +191,7 @@ class TestOptimizeMixing:
             state = AdamState.fresh(z0)
             for j, (omega, _) in enumerate(m.step_trace):
                 assert np.array_equal(omega, omega_of_latent(state.z))
-                if j < opt.steps:
+                if j < opt.J:
                     grad = energy_gradient(state.z, preds, t, cfg, schedule)
                     state = adam_update(state, grad, opt)
 
@@ -207,7 +207,7 @@ class TestOptimizeMixing:
     def test_warm_start_uses_given_latent(self, schedule, rng):
         preds = interior_instance(rng, 4)
         z0 = np.array([1.2, -0.7])
-        m = optimize_mixing(preds, 300, OptimizerConfig(steps=0),
+        m = optimize_mixing(preds, 300, OptimizerConfig(J=0),
                             ControlConfig(), schedule, z_init=z0)
         np.testing.assert_allclose(m.step_trace[0][0][1:-1], sigmoid(z0))
 
@@ -221,7 +221,7 @@ class TestClosedFormOracle:
     def test_decoupled_case_matches_grid_search(self, schedule, rng):
         # w_T = 0 decouples segments; compare each interior minimizer against
         # a dense 1-D grid search over the energy itself
-        cfg = ControlConfig(terminal_weight=0.0)
+        cfg = ControlConfig(w_T=0.0)
         preds = interior_instance(rng, 4)
         omega_star = closed_form_oracle(preds, 500, cfg, schedule)
         grid = np.linspace(0.0, 1.0, 100_001)
@@ -248,13 +248,13 @@ class TestClosedFormOracle:
         d = rng.normal(size=(4, 16, 4))
         preds = SegmentPredictions(uncond - d, uncond + d, uncond.copy())
         omega = closed_form_oracle(preds, 500,
-                                   ControlConfig(terminal_weight=0.0),
+                                   ControlConfig(w_T=0.0),
                                    schedule)
         np.testing.assert_allclose(omega[1:-1], 0.5, atol=1e-10)
 
     def test_long_run_adam_converges_to_oracle(self, schedule, rng):
         cfg = ControlConfig()
-        opt = OptimizerConfig(steps=500, lr=0.1)
+        opt = OptimizerConfig(J=500, lr=0.1)
         done = 0
         while done < 5:
             preds = interior_instance(rng, 4)

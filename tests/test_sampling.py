@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from models import scenario_model
 from oracles import conditional_ddim_sample
 from pathmix import (Condition, InvalidConfigError, SegmentLayout,
-                     baseline_sample, initial_segment_noise,
-                     make_condition_model, optimized_sample,
+                     baseline_sample, initial_segment_noise, optimized_sample,
                      scenario_from_dict)
 from pathmix.sampling import MAX_LAYOUT_VALUES
 
@@ -116,7 +116,7 @@ class TestBaselineRun:
 
 class TestConditionalDdim:
     def test_output_shape_and_determinism(self, schedule, plan):
-        model = make_condition_model({"S": 8, "C": 2})
+        model = scenario_model(S=8, C=2)
         a = conditional_ddim_sample(model, Condition.SOURCE, schedule, plan,
                                     4, 3)
         b = conditional_ddim_sample(model, Condition.SOURCE, schedule, plan,
@@ -125,7 +125,7 @@ class TestConditionalDdim:
         np.testing.assert_array_equal(a, b)
 
     def test_samples_land_near_data_manifold(self, schedule, plan):
-        model = make_condition_model({"S": 16, "C": 4})
+        model = scenario_model(S=16, C=4)
         clips = conditional_ddim_sample(model, Condition.SOURCE, schedule,
                                         plan, 50, 21)
         err = np.abs(clips.mean(axis=0) - model.source.means[0])

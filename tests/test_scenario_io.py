@@ -25,8 +25,8 @@ class TestScenarioLoading:
         path.write_text(json.dumps({"layout": {"K": 4, "S": 16, "C": 4}}))
         sc = load_scenario(path)
         assert sc.total_steps == 1000 and sc.ddim_steps == 50
-        assert sc.optimizer.steps == 20 and sc.optimizer.lr == 0.01
-        assert sc.control.terminal_weight == 1.0
+        assert sc.optimizer.J == 20 and sc.optimizer.lr == 0.01
+        assert sc.control.w_T == 1.0
         assert sc.eval_n_clips == 200 and sc.eval_n_pairs == 2000
 
     def test_missing_file(self, tmp_path):
@@ -58,7 +58,7 @@ class TestScenarioLoading:
             scenario_from_dict({"seed": -1})
 
     @pytest.mark.parametrize("section,key,field", [
-        ("control", "w_T", "terminal_weight"),
+        ("control", "w_T", "w_T"),
         ("control", "sigmoid_sharpness", "sigmoid_sharpness"),
         ("optimizer", "lr", "lr")])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
@@ -93,9 +93,13 @@ class TestScenarioLoading:
             {"weight": 1, "mean": 0}, {"weight": -0.5, "mean": 1}]}}}, "c1"),
         ({"domains": {"c1": {"kind": "components", "components": [
             {"weight": 1, "mean": 0, "variance": 0.0}]}}},
-         "domains.c1.components[0].variance")],
+         "domains.c1.components[0].variance"),
+        ({"domains": {"c1": {"kind": "components", "components": [
+            {"weight": 1e308, "mean": 0}, {"weight": 1e308, "mean": 1}]}}},
+         "domains.c1.components[0].weight")],
         ids=["huge-integer", "huge-domain-integer", "huge-integer-in-list",
-             "zero-weights", "negative-weight", "zero-component-variance"])
+             "zero-weights", "negative-weight", "zero-component-variance",
+             "overflowing-weight-sum"])
     def test_out_of_range_values_rejected(self, raw, named):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -139,9 +143,14 @@ class TestScenarioLoading:
                     mean[:, c], np.sin(2.0 * np.pi * cycles * s / 16
                                        + np.pi * c / 4))
 
-    def test_default_fingerprint_pinned(self):
-        # run manifests record it; the defaults' values must not drift
-        assert scenario_from_dict({}).fingerprint == (
+    @pytest.mark.parametrize("raw", [
+        {}, {"domains": {"c1": {"kind": "toy"}}},
+        {"domains": {"c1": {"cycles": 6.0, "root_drift": 1.5}}}],
+        ids=["empty", "toy-kind", "toy-values"])
+    def test_default_fingerprint_pinned(self, raw):
+        # run manifests record it; the defaults' values must not drift, and
+        # a spec equal to the defaults has the defaults' fingerprint
+        assert scenario_from_dict(raw).fingerprint == (
             "d538a6b122c75959e6e7e20d4f04794e0e6d9f1de0371c06791cb63d60aa28d3")
 
     def test_integral_float_counts_as_integer(self):
@@ -173,10 +182,10 @@ class TestScenarioLoading:
 
 # config field -> its scenario section, key and a value other than the default
 SCENARIO_KEYS = {
-    "steps": ("optimizer", "J", 7),
+    "J": ("optimizer", "J", 7),
     "lr": ("optimizer", "lr", 0.05),
     "warm_start": ("optimizer", "warm_start", False),
-    "terminal_weight": ("control", "w_T", 2.5),
+    "w_T": ("control", "w_T", 2.5),
     "lambda_mode": ("control", "lambda_mode", "unit"),
     "sigmoid_sharpness": ("control", "sigmoid_sharpness", 4.0),
 }
