@@ -107,7 +107,7 @@ def _n_runs(args, scenario: Scenario) -> int:
 def cmd_generate(args) -> int:
     scenario = _load(args)
     result = _run_method(scenario, args.method, scenario.seed)
-    write_run(result, None, args.out)
+    write_run(result, out_dir=args.out)
     print(f"wrote run artifacts to {args.out}")
     return 0
 
@@ -183,7 +183,7 @@ def cmd_sweep(args) -> int:
     for value, variant in zip(values, variants):
         result = optimized_sample(variant, variant.seed)
         run_dir = out / f"{key}_{value:g}"
-        write_run(result, None, run_dir)
+        write_run(result, out_dir=run_dir)
         max_energy = max(e.total for e in result.energy_trace)
         final_energy = result.energy_trace[-1].total
         rows.append((value, max_energy, final_energy))

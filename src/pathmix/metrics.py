@@ -1,10 +1,10 @@
 """Evaluation metrics: feature spaces, Frechet distances, diversity, dynamics.
 
-Clips are S x C arrays.  The kinetic space concatenates per-channel RMS
-velocity and acceleration; the geometric space concatenates per-channel
-temporal means with mean absolute pairwise channel differences.  Both feature
-sets are standardized with ground-truth statistics before any distance is
-computed.
+Clips are (..., S, C) arrays: S frames of C channels under any leading batch
+axes.  The kinetic space concatenates per-channel RMS velocity and
+acceleration; the geometric space concatenates per-channel temporal means
+with mean absolute pairwise channel differences.  Both feature sets are
+standardized with ground-truth statistics before any distance is computed.
 """
 
 from __future__ import annotations
@@ -50,26 +50,27 @@ class EvalReport:
     n_gt: int
 
 
-def kinetic_features(clip: np.ndarray) -> np.ndarray:
+def kinetic_features(clips: np.ndarray) -> np.ndarray:
     """Per-channel RMS first and second finite differences, length 2C."""
-    if len(clip) < 3:
+    clips = np.asarray(clips)
+    if clips.shape[-2] < 3:
         raise InvalidConfigError("kinetic features need at least 3 frames")
-    vel = np.diff(clip, axis=0)
-    acc = np.diff(clip, n=2, axis=0)
-    rms = lambda d: np.sqrt(np.mean(d ** 2, axis=0))
-    return np.concatenate([rms(vel), rms(acc)])
+    vel = np.diff(clips, axis=-2)
+    acc = np.diff(clips, n=2, axis=-2)
+    rms = lambda d: np.sqrt(np.mean(d ** 2, axis=-2))
+    return np.concatenate([rms(vel), rms(acc)], axis=-1)
 
 
-def geometric_features(clip: np.ndarray) -> np.ndarray:
+def geometric_features(clips: np.ndarray) -> np.ndarray:
     """Per-channel temporal means plus mean absolute pairwise channel
-    differences, length C + C(C-1)/2."""
-    C = clip.shape[1]
+    differences over pairs i < j, length C + C(C-1)/2 per clip."""
+    clips = np.asarray(clips)
+    C = clips.shape[-1]
     if C < 2:
         raise InvalidConfigError("geometric features need at least 2 channels")
-    means = clip.mean(axis=0)
-    pair = [np.mean(np.abs(clip[:, i] - clip[:, j]))
-            for i in range(C) for j in range(i + 1, C)]
-    return np.concatenate([means, np.array(pair)])
+    i, j = np.triu_indices(C, 1)
+    pair = np.mean(np.abs(clips[..., i] - clips[..., j]), axis=-2)
+    return np.concatenate([clips.mean(axis=-2), pair], axis=-1)
 
 
 def standardize(features: np.ndarray, gt_mean: np.ndarray,
@@ -139,8 +140,7 @@ def evaluate(gen_clips, gt_clips, n_pairs: int = 2000,
     report = {}
     for name, extractor in (("kinetic", kinetic_features),
                             ("geometric", geometric_features)):
-        gen_f = np.stack([extractor(c) for c in gen_clips])
-        gt_f = np.stack([extractor(c) for c in gt_clips])
+        gen_f, gt_f = extractor(gen_clips), extractor(gt_clips)
         gt_mean, gt_std = gt_f.mean(axis=0), gt_f.std(axis=0)
         gen_s = standardize(gen_f, gt_mean, gt_std)
         gt_s = standardize(gt_f, gt_mean, gt_std)

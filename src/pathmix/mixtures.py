@@ -100,14 +100,14 @@ class ConditionModel:
 
     source: GaussianMixture
     target: GaussianMixture
-    source_prior: float = 0.5
+    p0: float = 0.5
 
     def __post_init__(self):
         if self.source.shape != self.target.shape:
             raise InvalidConfigError("source/target shapes differ")
-        if not 0.0 < self.source_prior < 1.0:
+        if not 0.0 < self.p0 < 1.0:
             raise InvalidConfigError(
-                "domains.p0: source_prior must lie in (0, 1)")
+                f"domains.p0 must lie in (0, 1), got {self.p0:g}")
 
     @property
     def shape(self):
@@ -124,7 +124,7 @@ class ConditionModel:
     def null(self) -> GaussianMixture:
         """The prior-weighted union of both mixtures, the source's components
         first, built on first use."""
-        p0 = self.source_prior
+        p0 = self.p0
         return GaussianMixture(
             np.concatenate([p0 * self.source.weights,
                             (1.0 - p0) * self.target.weights]),

@@ -20,7 +20,6 @@ import numpy as np
 
 from .control import ControlConfig
 from .errors import ScenarioError
-from .metrics import EvalReport
 from .mixtures import (DOMAIN_DEFAULTS, ConditionModel, _known,
                        _mixture_from_spec)
 from .optim import OptimizerConfig
@@ -204,7 +203,7 @@ def _write_csv(path: Path, header: list[str], rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_run(result: RunResult, report: EvalReport | None, out_dir) -> Path:
+def write_run(result: RunResult, out_dir) -> Path:
     """Persist one run: manifest.json plus CSV tables for the tensors."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -229,7 +228,6 @@ def write_run(result: RunResult, report: EvalReport | None, out_dir) -> Path:
         "fingerprint": result.fingerprint,
         "wall_time": result.wall_time,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "metrics": asdict(report) if report is not None else None,
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -244,6 +242,7 @@ def export_comparison_table(reports: dict, path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     order = [m for m in METHOD_ORDER if m in reports]
     order += sorted(set(reports) - set(order))
-    _write_csv(path, ["method"] + [f.name for f in fields(EvalReport)],
+    header = [f.name for f in fields(reports[order[0]])]
+    _write_csv(path, ["method"] + header,
                ((method, *astuple(reports[method])) for method in order))
     return path

@@ -12,6 +12,9 @@ they live with the tests rather than in the package:
 - ``loop_log_density``, ``marginal_log_density`` and
   ``domain_log_likelihood``: exact log-densities, each from its own
   likelihood pass over one condition's mixture.
+- ``clip_kinetic_features`` and ``clip_geometric_features``: the feature
+  extractors of ``pathmix.metrics`` for one ``(S, C)`` clip, the channel
+  pairs taken one at a time.
 
 They import no private name of ``pathmix`` (``tests/test_source.py`` checks
 this), so that each checks the library rather than sharing its code.
@@ -21,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pathmix import (Condition, ConditionModel, NoiseSchedule,
-                     OptimizerConfig, TimestepPlan, ddim_step, predict_x0)
+from pathmix import (Condition, ConditionModel, InvalidConfigError,
+                     NoiseSchedule, OptimizerConfig, TimestepPlan, ddim_step,
+                     predict_x0)
 from pathmix.mixtures import logsumexp
 from pathmix.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
@@ -99,3 +103,25 @@ def domain_log_likelihood(model: ConditionModel, clip: np.ndarray,
                           cond: Condition) -> float:
     """Exact mixture log-density of a clean clip under a condition."""
     return float(loop_log_density(model, clip, 1.0, cond))
+
+
+def clip_kinetic_features(clip: np.ndarray) -> np.ndarray:
+    """Per-channel RMS first and second finite differences, length 2C."""
+    if len(clip) < 3:
+        raise InvalidConfigError("kinetic features need at least 3 frames")
+    vel = np.diff(clip, axis=0)
+    acc = np.diff(clip, n=2, axis=0)
+    rms = lambda d: np.sqrt(np.mean(d ** 2, axis=0))
+    return np.concatenate([rms(vel), rms(acc)])
+
+
+def clip_geometric_features(clip: np.ndarray) -> np.ndarray:
+    """Per-channel temporal means plus mean absolute pairwise channel
+    differences, length C + C(C-1)/2."""
+    C = clip.shape[1]
+    if C < 2:
+        raise InvalidConfigError("geometric features need at least 2 channels")
+    means = clip.mean(axis=0)
+    pair = [np.mean(np.abs(clip[:, i] - clip[:, j]))
+            for i in range(C) for j in range(i + 1, C)]
+    return np.concatenate([means, np.array(pair)])

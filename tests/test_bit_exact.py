@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from oracles import ORDER, AdamState, adam_update
+from oracles import (ORDER, AdamState, adam_update, clip_geometric_features,
+                     clip_kinetic_features)
 from pathmix import (ControlConfig, EnergyBreakdown, NumericError,
                      OptimizerConfig, SegmentPredictions,
-                     build_cosine_schedule, optimize_mixing,
+                     build_cosine_schedule, geometric_features,
+                     kinetic_features, optimize_mixing,
                      select_ddim_timesteps)
 from pathmix.control import stitch_cost, stitch_cost_aligned_gradient
 from pathmix.mixtures import (ConditionModel, GaussianMixture, logsumexp,
@@ -323,6 +325,26 @@ def test_optimize_mixing_matches_interleaved_loop(rng, K, warm):
                                                                 trace):
                     assert np.array_equal(got_omega, want_omega)
                     assert same_energy(got, want)
+
+
+@pytest.mark.parametrize("shape", [(500, 16, 4), (200, 4, 2), (7, 6, 5),
+                                   (16, 4)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("batched,per_clip", [
+    (kinetic_features, clip_kinetic_features),
+    (geometric_features, clip_geometric_features)],
+    ids=["kinetic", "geometric"])
+def test_features_of_a_batch_match_per_clip_oracle(rng, shape, batched,
+                                                    per_clip):
+    # clip scales from 0.1 to 10, so that the reductions' rounding differs
+    # from clip to clip
+    lead, (S, C) = shape[:-2], shape[-2:]
+    scale = np.geomspace(0.1, 10.0, int(np.prod(lead)))
+    clips = rng.normal(size=shape) * scale.reshape(lead + (1, 1))
+    want = np.stack([per_clip(c) for c in clips.reshape(-1, S, C)])
+    got = batched(clips)
+    assert got.shape == lead + want.shape[-1:]
+    assert np.array_equal(got.reshape(want.shape), want)
 
 
 class TestLogsumexp:

@@ -151,6 +151,7 @@ class TestGenerate:
                      str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
+        assert "source_prior" not in err  # the prior has one name, p0
         assert not (tmp_path / "o").exists()
 
     def test_invalid_scenario_content_exits_2(self, tmp_path):

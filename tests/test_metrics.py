@@ -25,9 +25,11 @@ class TestKineticFeatures:
         feats = kinetic_features(clip)
         assert abs(feats[1] - 2.0) < 1e-12  # second difference of s^2 is 2
 
-    def test_too_short_rejected(self):
+    @pytest.mark.parametrize("shape", [(2, 4), (5, 2, 4)],
+                             ids=["clip", "batch"])
+    def test_too_short_rejected(self, shape):
         with pytest.raises(InvalidConfigError):
-            kinetic_features(np.zeros((2, 4)))
+            kinetic_features(np.zeros(shape))
 
 
 class TestGeometricFeatures:
@@ -42,9 +44,11 @@ class TestGeometricFeatures:
     def test_length(self, rng):
         assert geometric_features(rng.normal(size=(16, 5))).shape == (5 + 10,)
 
-    def test_single_channel_rejected(self):
+    @pytest.mark.parametrize("shape", [(16, 1), (5, 16, 1)],
+                             ids=["clip", "batch"])
+    def test_single_channel_rejected(self, shape):
         with pytest.raises(InvalidConfigError):
-            geometric_features(np.zeros((16, 1)))
+            geometric_features(np.zeros(shape))
 
 
 class TestStandardize:

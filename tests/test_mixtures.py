@@ -26,7 +26,7 @@ class TestConstruction:
         assert model.shape == (16, 4)
         assert model.source.means.shape == (1, 16, 4)
         assert model.target.means.shape == (1, 16, 4)
-        assert model.source_prior == 0.5
+        assert model.p0 == 0.5
 
     def test_weights_normalized(self):
         spec = {"S": 4, "C": 2,

@@ -206,7 +206,7 @@ def test_every_config_field_is_settable_from_the_scenario(config, attr):
 
 class TestWriteRun:
     def test_files_and_shapes(self, tmp_path, run_result):
-        manifest_path = write_run(run_result, None, tmp_path / "run")
+        manifest_path = write_run(run_result, tmp_path / "run")
         out = manifest_path.parent
         for name in ("manifest.json", "segments.csv", "long_sequence.csv",
                      "omega.csv", "energy.csv"):
@@ -218,8 +218,8 @@ class TestWriteRun:
         assert energy_header == "step,transient,terminal,total"
 
     def test_deterministic_except_timestamp(self, tmp_path, run_result):
-        write_run(run_result, None, tmp_path / "a")
-        write_run(run_result, None, tmp_path / "b")
+        write_run(run_result, tmp_path / "a")
+        write_run(run_result, tmp_path / "b")
         for name in ("segments.csv", "long_sequence.csv", "omega.csv",
                      "energy.csv"):
             assert ((tmp_path / "a" / name).read_bytes()
@@ -231,20 +231,11 @@ class TestWriteRun:
         assert ma == mb
 
     def test_csv_floats_round_trip_exactly(self, tmp_path, run_result):
-        out = write_run(run_result, None, tmp_path / "rt").parent
+        out = write_run(run_result, tmp_path / "rt").parent
         rows = (out / "long_sequence.csv").read_text().strip().splitlines()[1:]
         parsed = np.array([[float(v) for v in row.split(",")[1:]]
                            for row in rows])
         np.testing.assert_array_equal(parsed, run_result.long_sequence)
-
-    def test_metrics_embedded_in_manifest(self, tmp_path, run_result):
-        sc = scenario_from_dict({})
-        model = sc.build_model()
-        clips = sample_clips(model, Condition.SOURCE, 20, 1)
-        report = evaluate(clips, clips, 50, 0)
-        manifest = json.loads(
-            write_run(run_result, report, tmp_path / "m").read_text())
-        assert manifest["metrics"]["n_gen"] == 20
 
 
 class TestComparisonTable:
