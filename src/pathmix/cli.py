@@ -83,7 +83,7 @@ def _gt_clips(scenario: Scenario, base_seed: int) -> np.ndarray:
     c0 = sample_clips(model, Condition.SOURCE, half, base_seed + 1)
     c1 = sample_clips(model, Condition.TARGET, scenario.eval_n_clips - half,
                       base_seed + 2)
-    return np.concatenate([np.asarray(c0), np.asarray(c1)])
+    return np.concatenate([c0, c1])
 
 
 def _method_clips(scenario: Scenario, method: str, n_runs: int) -> np.ndarray:
@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "mixing: generation, evaluation, and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method=False, runs=False, sweep=False):
+    def common(p, handler, method=False, runs=False, sweep=False):
+        p.set_defaults(handler=handler)
         p.add_argument("--scenario", type=Path, default=None,
                        help="scenario JSON (defaults to the built-in toy)")
         p.add_argument("--seed", type=int, default=None,
@@ -220,20 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory")
 
     common(sub.add_parser("generate", help="run one sampler and write "
-                          "run artifacts"), method=True)
+                          "run artifacts"), cmd_generate, method=True)
     common(sub.add_parser("evaluate", help="pool runs for one method and "
-                          "write metrics"), method=True, runs=True)
+                          "write metrics"), cmd_evaluate, method=True,
+           runs=True)
     common(sub.add_parser("compare", help="evaluate all methods against "
-                          "ground truth"), runs=True)
+                          "ground truth"), cmd_compare, runs=True)
     common(sub.add_parser("sweep", help="vary one scalar over a list of "
-                          "values"), sweep=True)
-    sub.add_parser("check", help="run the verification checks")
-
-    parser.set_defaults(handler=None)
-    for name, fn in (("generate", cmd_generate), ("evaluate", cmd_evaluate),
-                     ("compare", cmd_compare), ("sweep", cmd_sweep),
-                     ("check", cmd_check)):
-        sub.choices[name].set_defaults(handler=fn)
+                          "values"), cmd_sweep, sweep=True)
+    sub.add_parser("check", help="run the verification checks").set_defaults(
+        handler=cmd_check)
     return parser
 
 

@@ -83,11 +83,8 @@ class SegmentPredictions:
     def mixed(self, omega: np.ndarray) -> np.ndarray:
         """Mixed prediction stacks, (..., K, S, C), of mixing vectors (..., K):
         (1 - omega_k) * source_k + omega_k * target_k."""
-        return _mix(self.source, self.target, omega[..., None, None])
-
-
-def _mix(pred_c0, pred_c1, w):
-    return (1.0 - w) * pred_c0 + w * pred_c1
+        w = omega[..., None, None]
+        return (1.0 - w) * self.source + w * self.target
 
 
 def guidance_delta(x_t: np.ndarray, mixed_x0: np.ndarray, uncond_x0: np.ndarray,
@@ -106,7 +103,7 @@ def _delta_coeff(t: int, schedule: NoiseSchedule) -> float:
     return np.sqrt(a) / np.sqrt(1.0 - a)
 
 
-def lambda_weight(t: int, schedule: NoiseSchedule, mode: str = "posterior") -> float:
+def lambda_weight(t: int, schedule: NoiseSchedule, mode: str) -> float:
     """Per-timestep weight on the squared noise-space deviation.
 
     "posterior" is the DDPM reverse-transition KL constant
@@ -148,7 +145,7 @@ def stitch_cost(x0hat_segments: np.ndarray) -> float:
     return float((diff ** 2).sum())
 
 
-def heuristic_omega(kind: str, K: int, sharpness: float = 10.0) -> np.ndarray:
+def heuristic_omega(kind: str, K: int, sharpness: float) -> np.ndarray:
     """Fixed segment-interpolation schedules: linear, sigmoid or sine.
 
     All are monotone over the segment index with endpoints exactly 0 and 1,

@@ -129,8 +129,7 @@ def dynamics_stats(clips: np.ndarray) -> tuple[float, float, float, float]:
             float(jerk.mean()), float(jerk.var()))
 
 
-def evaluate(gen_clips, gt_clips, n_pairs: int = 2000,
-             rng_seed: int = 0) -> EvalReport:
+def evaluate(gen_clips, gt_clips, n_pairs: int, rng_seed: int) -> EvalReport:
     """Full metric suite for a generated clip set against ground truth."""
     gen_clips = np.asarray(gen_clips)
     gt_clips = np.asarray(gt_clips)

@@ -109,10 +109,6 @@ class ConditionModel:
             raise InvalidConfigError(
                 f"domains.p0 must lie in (0, 1), got {self.p0:g}")
 
-    @property
-    def shape(self):
-        return self.source.shape
-
     def mixture(self, cond: Condition) -> GaussianMixture:
         if cond is Condition.SOURCE:
             return self.source
@@ -145,7 +141,7 @@ class ConditionModel:
 
 
 def _toy_mean(S: int, C: int, cycles: float, root_drift: float,
-              root_channel: int = 0) -> np.ndarray:
+              root_channel: int) -> np.ndarray:
     """Sinusoidal channel trajectories plus a linear drift on the root channel."""
     s = np.arange(S, dtype=np.float64)
     mean = np.empty((S, C))

@@ -99,18 +99,14 @@ def build_cosine_schedule(T: int) -> NoiseSchedule:
 
 
 def select_ddim_timesteps(schedule: NoiseSchedule, N: int) -> TimestepPlan:
-    """Evenly spaced (rounded) subsequence of N+1 timesteps from T to 0."""
+    """Evenly spaced (rounded) subsequence of N+1 timesteps from T to 0; a
+    spacing of T/N >= 1 keeps the rounded steps strictly decreasing."""
     T = schedule.total_steps
     if N < 1 or N > T:
         raise InvalidConfigError(f"need 1 <= N <= T, got N={N}, T={T}")
     raw = np.linspace(T, 0.0, N + 1)
     steps = np.ceil(raw - 0.5).astype(np.int64)  # ties round toward smaller t
     steps[0], steps[-1] = T, 0
-    for i in range(1, N + 1):  # dedupe by padding toward 0
-        if steps[i] >= steps[i - 1]:
-            steps[i] = steps[i - 1] - 1
-    if steps[-1] < 0:
-        raise InvalidConfigError("timestep plan collapsed below 0")
     return TimestepPlan(steps)
 
 

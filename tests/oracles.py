@@ -73,7 +73,7 @@ def conditional_ddim_sample(model: ConditionModel, cond: Condition,
     Returns n clean clips of shape (n, S, C).
     """
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n,) + model.shape)
+    x = rng.standard_normal((n,) + model.source.shape)
     for i in range(plan.num_steps):
         t, t_next = int(plan.steps[i]), int(plan.steps[i + 1])
         x0hat = predict_x0(model, x, t, schedule)[ORDER.index(cond)]

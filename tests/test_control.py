@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from models import random_preds
 from oracles import mix_predictions
 from pathmix import (ControlConfig, DegenerateTimestepError,
                      InvalidConfigError, SegmentPredictions, control_energy,
@@ -9,12 +10,6 @@ from pathmix import (ControlConfig, DegenerateTimestepError,
 from pathmix.control import transient_coefficients
 from pathmix.optim import _QuadraticEnergy
 from pathmix.segments import align_root
-
-
-def random_preds(rng, K=4, S=16, C=4):
-    return SegmentPredictions(rng.normal(size=(K, S, C)),
-                              rng.normal(size=(K, S, C)),
-                              rng.normal(size=(K, S, C)))
 
 
 def pinned_omega(interior):
@@ -143,26 +138,26 @@ class TestStitchCost:
 
 class TestHeuristicOmega:
     def test_linear(self):
-        np.testing.assert_allclose(heuristic_omega("linear", 5),
+        np.testing.assert_allclose(heuristic_omega("linear", 5, 10.0),
                                    [0, 0.25, 0.5, 0.75, 1])
 
     def test_sine_midpoint(self):
-        np.testing.assert_allclose(heuristic_omega("sine", 3), [0, 0.5, 1],
-                                   atol=1e-15)
+        np.testing.assert_allclose(heuristic_omega("sine", 3, 10.0),
+                                   [0, 0.5, 1], atol=1e-15)
 
     def test_sigmoid_endpoints_exact(self):
-        omega = heuristic_omega("sigmoid", 6)
+        omega = heuristic_omega("sigmoid", 6, 10.0)
         assert omega[0] == 0.0 and omega[-1] == 1.0
 
     def test_all_monotone(self):
         for kind in ("linear", "sigmoid", "sine"):
-            omega = heuristic_omega(kind, 7)
+            omega = heuristic_omega(kind, 7, 10.0)
             assert np.all(np.diff(omega) >= 0)
             assert omega[0] == 0.0 and omega[-1] == 1.0
 
     def test_too_few_segments_rejected(self):
         with pytest.raises(InvalidConfigError):
-            heuristic_omega("linear", 1)
+            heuristic_omega("linear", 1, 10.0)
 
 
 class TestControlEnergy:

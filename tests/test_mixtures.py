@@ -23,7 +23,7 @@ def single_gaussian_model(S=4, C=2, mean=0.0, variance=1.0):
 class TestConstruction:
     def test_default_toy_shapes(self):
         model = scenario_model(S=16, C=4)
-        assert model.shape == (16, 4)
+        assert model.source.shape == (16, 4)
         assert model.source.means.shape == (1, 16, 4)
         assert model.target.means.shape == (1, 16, 4)
         assert model.p0 == 0.5

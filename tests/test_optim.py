@@ -1,29 +1,12 @@
 import numpy as np
 import pytest
 
+from models import interior_instance, random_preds
 from oracles import AdamState, adam_update
 from pathmix import (ControlConfig, InvalidConfigError, NumericError,
                      OptimizerConfig, SegmentPredictions, closed_form_oracle,
                      control_energy, energy_gradient, optimize_mixing)
 from pathmix.optim import omega_of_latent, sigmoid
-
-
-def random_preds(rng, K=4, S=16, C=4):
-    return SegmentPredictions(rng.normal(size=(K, S, C)),
-                              rng.normal(size=(K, S, C)),
-                              rng.normal(size=(K, S, C)))
-
-
-def interior_instance(rng, K, S=16, C=4):
-    """Predictions whose unconditional sits near an interior blend, so the
-    unconstrained optimum tends to land inside (0, 1)."""
-    source = rng.normal(size=(K, S, C))
-    target = rng.normal(size=(K, S, C))
-    levels = rng.uniform(0.25, 0.75, size=K)[:, None, None]
-    uncond = ((1 - levels) * source + levels * target
-              + 0.05 * rng.normal(size=(K, S, C)))
-    rng.normal(size=(K, S, C))  # unused draw: keeps the seeded instances
-    return SegmentPredictions(source, target, uncond)
 
 
 class TestLatentParameterization:

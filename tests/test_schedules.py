@@ -67,6 +67,16 @@ class TestTimestepPlan:
         np.testing.assert_array_equal(select_ddim_timesteps(sch, 1).steps,
                                       [10, 0])
 
+    def test_steps_are_the_rounded_grid(self):
+        # a spacing of T/N >= 1 leaves no rounded step to repair
+        for T in range(2, 201):
+            sch = build_cosine_schedule(T)
+            for N in range(1, T + 1):
+                grid = np.ceil(np.linspace(T, 0, N + 1) - 0.5).astype(np.int64)
+                grid[0], grid[-1] = T, 0
+                np.testing.assert_array_equal(
+                    select_ddim_timesteps(sch, N).steps, grid)
+
     def test_n_larger_than_t_rejected(self):
         sch = build_cosine_schedule(10)
         with pytest.raises(InvalidConfigError):
