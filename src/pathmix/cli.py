@@ -19,13 +19,11 @@ from .checks import run_check
 from .errors import InvalidConfigError, NumericError, ScenarioError
 from .metrics import evaluate
 from .mixtures import Condition, sample_clips
-from .sampling import BASELINE_KINDS, baseline_sample, optimized_sample
+from .sampling import baseline_sample, optimized_sample
 from .scenario import (METHOD_ORDER, Scenario, _write_csv,
                        export_comparison_table, load_scenario,
                        scenario_from_dict, write_run)
 from .segments import slice_windows
-
-METHODS = ("mdpa",) + BASELINE_KINDS
 
 
 def _load(args) -> Scenario:
@@ -132,7 +130,7 @@ def cmd_compare(args) -> int:
     gt = _gt_clips(scenario, scenario.seed)
     reports = {"ground_truth": evaluate(gt, gt, scenario.eval_n_pairs,
                                         scenario.seed)}
-    for method in METHODS:
+    for method in METHOD_ORDER[1:]:
         gen = _method_clips(scenario, method, n_runs)
         reports[method] = evaluate(gen, gt, scenario.eval_n_pairs,
                                    scenario.seed)
@@ -210,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         if method:
-            p.add_argument("--method", choices=METHODS, default="mdpa")
+            p.add_argument("--method", choices=METHOD_ORDER[1:],
+                           default="mdpa")
         if runs:
             p.add_argument("--runs", type=int, default=None,
                            help="number of sampling runs to pool")

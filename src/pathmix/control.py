@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateTimestepError, InvalidConfigError
+from .errors import InvalidConfigError
 from .schedules import NoiseSchedule, eps_of_x0
 from .segments import align_root
 
@@ -26,6 +26,10 @@ POSTERIOR_VAR_FLOOR = 1e-12
 # about 1e152, so this bound leaves some 50 orders of magnitude for steeper
 # stitch costs.
 MAX_TERMINAL_WEIGHT = 1e100
+
+# Smallest sigmoid_sharpness accepted at load, the smallest normal double:
+# heuristic_omega divides by tanh(s / 4), which is 0 at the smallest subnormal.
+MIN_SIGMOID_SHARPNESS = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,9 @@ class ControlConfig:
         if self.lambda_mode not in ("posterior", "unit"):
             raise InvalidConfigError(
                 f"control.lambda_mode: unknown lambda_mode {self.lambda_mode!r}")
-        if self.sigmoid_sharpness <= 0:
-            raise InvalidConfigError("control.sigmoid_sharpness must be > 0")
+        if self.sigmoid_sharpness < MIN_SIGMOID_SHARPNESS:
+            raise InvalidConfigError("control.sigmoid_sharpness must be >= "
+                                     f"{MIN_SIGMOID_SHARPNESS!r}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +95,6 @@ class SegmentPredictions:
 def guidance_delta(x_t: np.ndarray, mixed_x0: np.ndarray, uncond_x0: np.ndarray,
                    t: int, schedule: NoiseSchedule) -> np.ndarray:
     """Noise-space deviation of the mixed prediction from the unconditional one."""
-    if t < 1:
-        raise DegenerateTimestepError("guidance delta undefined at t=0")
     return (eps_of_x0(x_t, mixed_x0, t, schedule)
             - eps_of_x0(x_t, uncond_x0, t, schedule))
 
@@ -113,7 +116,7 @@ def lambda_weight(t: int, schedule: NoiseSchedule, mode: str) -> float:
     there rather than a division by zero.  "unit" returns 1 for ablations.
     """
     if t < 1:
-        raise DegenerateTimestepError("lambda undefined at t=0")
+        raise ValueError("lambda undefined at t=0")
     if mode == "unit":
         return 1.0
     if mode != "posterior":
@@ -128,7 +131,7 @@ def reverse_kl_check(eps_a: np.ndarray, eps_b: np.ndarray, t: int,
     """Exact KL between the Gaussian reverse transitions induced by two noise
     predictions (shared posterior variance): ||mu_a - mu_b||^2 / (2 var)."""
     if t < 1:
-        raise DegenerateTimestepError("reverse transition undefined at t=0")
+        raise ValueError("reverse transition undefined at t=0")
     beta = schedule.beta[t]
     coeff = beta / (np.sqrt(1.0 - beta) * np.sqrt(1.0 - schedule.alpha_bar[t]))
     diff = coeff * (eps_a - eps_b)
@@ -149,7 +152,9 @@ def heuristic_omega(kind: str, K: int, sharpness: float) -> np.ndarray:
     """Fixed segment-interpolation schedules: linear, sigmoid or sine.
 
     All are monotone over the segment index with endpoints exactly 0 and 1,
-    and constant across denoising steps.
+    and constant across denoising steps.  The sigmoid is the logistic of
+    s (u - 1/2) rescaled to [0, 1] in its odd form, (tanh(s (u - 1/2) / 2)
+    + tanh(s / 4)) / (2 tanh(s / 4)): exact ends, and it cannot overflow.
     """
     if K < 2:
         raise InvalidConfigError("need K >= 2 segments")
@@ -159,8 +164,8 @@ def heuristic_omega(kind: str, K: int, sharpness: float) -> np.ndarray:
     if kind == "sine":
         return 0.5 * (1.0 - np.cos(np.pi * u))
     if kind == "sigmoid":
-        raw = 1.0 / (1.0 + np.exp(-sharpness * (u - 0.5)))
-        return (raw - raw[0]) / (raw[-1] - raw[0])
+        raw = np.tanh(sharpness * (u - 0.5) / 2)  # raw[-1] is tanh(s / 4)
+        return (raw + raw[-1]) / (2 * raw[-1])
     raise InvalidConfigError(f"unknown schedule kind {kind!r}")
 
 

@@ -5,10 +5,6 @@ class InvalidConfigError(ValueError):
     """A configuration value violates its contract (bad K, odd S, T < 2, ...)."""
 
 
-class DegenerateTimestepError(ValueError):
-    """An operation that requires t >= 1 was called at t = 0."""
-
-
 class NumericError(ArithmeticError):
     """A non-finite value appeared where finite math was required."""
 

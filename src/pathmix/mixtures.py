@@ -41,25 +41,26 @@ DEFAULT_VARIANCE = 0.05  # of a toy domain or a component entry
 MAX_DOMAIN_SCALE = 1e20
 
 
-def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False):
-    """log(sum(exp(a))) along ``axis`` with scipy.special.logsumexp's arithmetic.
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, kept with length 1, with
+    scipy.special.logsumexp's arithmetic.
 
     The maxima are split out of the sum, the other terms are summed as
     exp(a - max) and divided by the number of maxima m, and the result is
     log1p(s) + log(m) + max; non-finite results fall back to the direct
     formula.  Matching that order bit for bit keeps sampled outputs identical.
     """
-    a_max = a.max(axis=axis, keepdims=True)
+    a_max = a.max(axis=-1, keepdims=True)
     is_max = a == a_max
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axis,
+        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=-1,
                                                             keepdims=True)
-        m = is_max.sum(axis=axis, keepdims=True, dtype=np.float64)
+        m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
         out = np.log1p(s / m) + np.log(m) + a_max
         if not np.isfinite(out).all():
-            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+            direct = np.log(np.exp(a).sum(axis=-1, keepdims=True))
             out = np.where(np.isfinite(out), out, direct)
-    return out if keepdims else out.squeeze(axis)[()]
+    return out
 
 
 class Condition(enum.Enum):
@@ -132,21 +133,22 @@ class ConditionModel:
     def null_parts(self) -> tuple:
         """Where the source's, the target's and all components sit among
         ``null``'s components, each with the log of its mixture's weights;
-        built on first use."""
+        built on first use.  A zero weight's log is -inf, which gives its
+        component a zero responsibility."""
         m0 = len(self.source.weights)
-        return tuple((part, np.log(mix.weights))
-                     for part, mix in ((slice(m0), self.source),
-                                       (slice(m0, None), self.target),
-                                       (slice(None), self.null)))
+        with np.errstate(divide="ignore"):
+            return tuple((part, np.log(mix.weights))
+                         for part, mix in ((slice(m0), self.source),
+                                           (slice(m0, None), self.target),
+                                           (slice(None), self.null)))
 
 
 def _toy_mean(S: int, C: int, cycles: float, root_drift: float,
               root_channel: int) -> np.ndarray:
     """Sinusoidal channel trajectories plus a linear drift on the root channel."""
     s = np.arange(S, dtype=np.float64)
-    mean = np.empty((S, C))
-    for c in range(C):
-        mean[:, c] = np.sin(2.0 * np.pi * cycles * s / S + np.pi * c / C)
+    mean = np.sin(2.0 * np.pi * cycles * s[:, None] / S
+                  + np.pi * np.arange(C) / C)
     mean[:, root_channel] = root_drift * s / max(S - 1, 1)
     return mean
 
@@ -247,7 +249,7 @@ def predict_x0(model: ConditionModel, x_t: np.ndarray, t: int,
     means = []
     for part, log_weights in model.null_parts:
         log_r = log_weights + log_n[..., part]
-        resp = np.exp(log_r - logsumexp(log_r, axis=-1, keepdims=True))
+        resp = np.exp(log_r - logsumexp(log_r))
         means.append((resp[..., None, None] * post[..., part, :, :])
                      .sum(axis=-3))
     return tuple(means)

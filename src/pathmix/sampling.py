@@ -23,8 +23,6 @@ from .optim import OptimizerConfig, optimize_mixing
 from .schedules import ddim_step
 from .segments import align_root, assemble_crossfade, hard_stitch_project
 
-BASELINE_KINDS = ("linear", "sigmoid", "sine")
-
 # Largest (K-1)*K*S*C allowed: the float64 count of the basis stack that the
 # per-step energy model builds, here 2**24 values or 128 MiB.  Checked before
 # anything of the layout's size is allocated.  The scenario loader bounds the

@@ -37,6 +37,8 @@ DEFAULTS = {
     "seed": 0,
 }
 
+# comparison.csv's rows; the entries after ground_truth are the --method
+# names, and each method's runs are seeded by its index here.
 METHOD_ORDER = ("ground_truth", "linear", "sigmoid", "sine", "mdpa")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTimestepError, InvalidConfigError
+from .errors import InvalidConfigError
 
 COSINE_OFFSET = 0.008
 BETA_MIN = 1e-8
@@ -100,13 +100,13 @@ def build_cosine_schedule(T: int) -> NoiseSchedule:
 
 def select_ddim_timesteps(schedule: NoiseSchedule, N: int) -> TimestepPlan:
     """Evenly spaced (rounded) subsequence of N+1 timesteps from T to 0; a
-    spacing of T/N >= 1 keeps the rounded steps strictly decreasing."""
+    spacing of T/N >= 1 keeps the rounded steps strictly decreasing, and
+    ``linspace`` returns both endpoints exactly, which round to T and 0."""
     T = schedule.total_steps
     if N < 1 or N > T:
         raise InvalidConfigError(f"need 1 <= N <= T, got N={N}, T={T}")
     raw = np.linspace(T, 0.0, N + 1)
     steps = np.ceil(raw - 0.5).astype(np.int64)  # ties round toward smaller t
-    steps[0], steps[-1] = T, 0
     return TimestepPlan(steps)
 
 
@@ -140,7 +140,7 @@ def eps_of_x0(x_t: np.ndarray, x0hat: np.ndarray, t: int,
     """Noise implied by a clean-signal estimate; inverse of tweedie_x0."""
     _check_t(t, schedule)
     if t == 0:
-        raise DegenerateTimestepError("eps is undefined at t=0")
+        raise ValueError("eps is undefined at t=0")
     a = schedule.alpha_bar[t]
     return (x_t - np.sqrt(a) * x0hat) / np.sqrt(1.0 - a)
 
@@ -150,8 +150,7 @@ def ddim_step(x_t: np.ndarray, x0hat: np.ndarray, t_n: int, t_next: int,
     """Deterministic DDIM update from timestep t_n to t_next < t_n."""
     if t_next >= t_n:
         raise ValueError(f"t_next must be < t_n, got {t_next} >= {t_n}")
-    _check_t(t_n, schedule)
-    _check_t(t_next, schedule)
+    _check_t(t_next, schedule)  # eps_of_x0 checks t_n
     a_next = schedule.alpha_bar[t_next]
     eps = eps_of_x0(x_t, x0hat, t_n, schedule)
     return np.sqrt(a_next) * x0hat + np.sqrt(1.0 - a_next) * eps

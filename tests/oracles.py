@@ -15,6 +15,8 @@ they live with the tests rather than in the package:
 - ``clip_kinetic_features`` and ``clip_geometric_features``: the feature
   extractors of ``pathmix.metrics`` for one ``(S, C)`` clip, the channel
   pairs taken one at a time.
+- ``affine_run``: a whole segmented, mixed, stitched run with given mixing
+  vectors, in closed form per element, when each domain is one Gaussian.
 
 They import no private name of ``pathmix`` (``tests/test_source.py`` checks
 this), so that each checks the library rather than sharing its code.
@@ -26,7 +28,7 @@ import numpy as np
 
 from pathmix import (Condition, ConditionModel, InvalidConfigError,
                      NoiseSchedule, OptimizerConfig, TimestepPlan, ddim_step,
-                     predict_x0)
+                     predict_x0, scenario_from_dict)
 from pathmix.mixtures import logsumexp
 from pathmix.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
@@ -90,7 +92,7 @@ def loop_log_density(model: ConditionModel, x: np.ndarray, a: float,
     ll = np.log(mix.weights) - 0.5 * np.sum(
         (x[..., None, :, :] - np.sqrt(a) * mix.means) ** 2 / s2
         + np.log(2.0 * np.pi * s2), axis=(-2, -1))
-    return logsumexp(ll, axis=-1)
+    return logsumexp(ll)[..., 0]
 
 
 def marginal_log_density(model: ConditionModel, x_t: np.ndarray, t: int,
@@ -125,3 +127,66 @@ def clip_geometric_features(clip: np.ndarray) -> np.ndarray:
     pair = [np.mean(np.abs(clip[:, i] - clip[:, j]))
             for i in range(C) for j in range(i + 1, C)]
     return np.concatenate([means, np.array(pair)])
+
+
+@dataclass(frozen=True)
+class AffineRun:
+    """Each final element of a run as ``gain * noise.flat[source] + offset``:
+    ``offset`` is its exact mean over the initial noise and ``gain ** 2`` its
+    variance."""
+
+    gain: np.ndarray    # (K, S, C)
+    offset: np.ndarray  # (K, S, C)
+    source: np.ndarray  # (K, S, C) flat indices into noise
+    noise: np.ndarray   # (K, S, C) initial noise of the run's seed
+
+    @property
+    def final(self) -> np.ndarray:
+        return self.gain * self.noise.ravel()[self.source] + self.offset
+
+
+def affine_run(scenario_raw: dict, omega_grid: np.ndarray,
+               seed: int) -> AffineRun:
+    """A run of the scenario ``scenario_raw`` with the mixing vector
+    ``omega_grid[n]`` at step n, in closed form.
+
+    When each domain is one diagonal Gaussian N(mu, v), its posterior mean
+    is elementwise affine in x_t, mu + g (x_t - sqrt(a) mu) with
+    g = sqrt(a) v / (a v + 1 - a); so is their mix under a fixed omega, and
+    so is the DDIM step.  The hard stitch projection copies elements.  So
+    each element stays an affine function of one initial noise element,
+    which segment k draws from SeedSequence(seed, spawn_key=(k,)).  This
+    checks the sampling loop given omega, not the choice of omega.
+    """
+    scenario = scenario_from_dict(scenario_raw)
+    model, schedule, plan = scenario.model, scenario.schedule, scenario.plan
+    K, S, C = scenario.layout.K, scenario.layout.S, scenario.layout.C
+    domains = (model.source, model.target)
+    if any(len(mix.weights) != 1 for mix in domains):
+        raise ValueError("the affine oracle needs one-Gaussian domains")
+    noise = np.stack([np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(k,))).standard_normal((S, C)) for k in range(K)])
+    gain, offset = np.ones((K, S, C)), np.zeros((K, S, C))
+    source = np.arange(K * S * C).reshape(K, S, C)
+    half = S // 2
+    for n, omega in enumerate(omega_grid):
+        a = schedule.alpha_bar[plan.steps[n]]
+        a_next = schedule.alpha_bar[plan.steps[n + 1]]
+        # x0hat = slope * x_t + level per condition, then mixed per segment
+        slope, level = [], []
+        for mix in domains:
+            mu, v = mix.means[0], mix.variances[0]
+            g = np.sqrt(a) * v / (a * v + 1.0 - a)
+            slope.append(g)
+            level.append(mu - g * np.sqrt(a) * mu)
+        w = omega[:, None, None]
+        slope = (1.0 - w) * slope[0] + w * slope[1]
+        level = (1.0 - w) * level[0] + w * level[1]
+        # x_next = sqrt(a_next) x0hat + c (x_t - sqrt(a) x0hat)
+        c = np.sqrt(1.0 - a_next) / np.sqrt(1.0 - a)
+        step_gain = np.sqrt(a_next) * slope + c * (1.0 - np.sqrt(a) * slope)
+        step_offset = (np.sqrt(a_next) - c * np.sqrt(a)) * level
+        gain, offset = step_gain * gain, step_gain * offset + step_offset
+        for array in (gain, offset, source):  # hard stitch projection
+            array[1:, :half] = array[:-1, half:]
+    return AffineRun(gain, offset, source, noise)

@@ -3,10 +3,10 @@ import pytest
 
 from models import random_preds
 from oracles import mix_predictions
-from pathmix import (ControlConfig, DegenerateTimestepError,
-                     InvalidConfigError, SegmentPredictions, control_energy,
-                     eps_of_x0, guidance_delta, heuristic_omega, lambda_weight,
-                     reverse_kl_check, stitch_cost)
+from pathmix import (ControlConfig, InvalidConfigError, SegmentPredictions,
+                     control_energy, eps_of_x0, guidance_delta,
+                     heuristic_omega, lambda_weight, reverse_kl_check,
+                     stitch_cost)
 from pathmix.control import transient_coefficients
 from pathmix.optim import _QuadraticEnergy
 from pathmix.segments import align_root
@@ -66,7 +66,7 @@ class TestGuidanceDelta:
 
     def test_t_zero_rejected(self, schedule, rng):
         x = rng.normal(size=(4, 2))
-        with pytest.raises(DegenerateTimestepError):
+        with pytest.raises(ValueError, match="t=0"):
             guidance_delta(x, x, x, 0, schedule)
 
 
@@ -148,6 +148,25 @@ class TestHeuristicOmega:
     def test_sigmoid_endpoints_exact(self):
         omega = heuristic_omega("sigmoid", 6, 10.0)
         assert omega[0] == 0.0 and omega[-1] == 1.0
+
+    def test_sigmoid_is_the_rescaled_logistic(self):
+        # the normalized logistic, where that form neither cancels nor
+        # overflows; the two differ by at most 6.6e-15 (K 3-64, s 0.1-100)
+        for K in (3, 4, 7, 16, 34, 64):
+            u = np.arange(K) / (K - 1)
+            for s in (0.1, 0.11288, 1.0, 10.0, 100.0):
+                raw = 1.0 / (1.0 + np.exp(-s * (u - 0.5)))
+                np.testing.assert_allclose(
+                    heuristic_omega("sigmoid", K, s),
+                    (raw - raw[0]) / (raw[-1] - raw[0]), rtol=0, atol=1e-14)
+
+    def test_sigmoid_limits(self):
+        # linear as the sharpness vanishes, a step as it grows without bound
+        np.testing.assert_allclose(heuristic_omega("sigmoid", 5, 1e-300),
+                                   [0, 0.25, 0.5, 0.75, 1], rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_array_equal(heuristic_omega("sigmoid", 5, 1e300),
+                                      [0, 0, 0.5, 1, 1])
 
     def test_all_monotone(self):
         for kind in ("linear", "sigmoid", "sine"):

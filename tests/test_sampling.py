@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from models import scenario_model
-from oracles import conditional_ddim_sample
+from oracles import affine_run, conditional_ddim_sample
 from pathmix import (Condition, InvalidConfigError, SegmentLayout,
                      baseline_sample, initial_segment_noise, optimized_sample,
                      scenario_from_dict)
 from pathmix.sampling import MAX_LAYOUT_VALUES
+
+# Largest deviation of final_segments from the affine oracle allowed.  When
+# it was set, runs deviated by at most 1.8e-15 (default scenario, values up
+# to 1.7) and 3.6e-15 (K=16, N=200, values up to 1.9): rounding of the same
+# affine maps in another order, a few ulps per step.
+AFFINE_ATOL = 1e-14
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +136,31 @@ class TestConditionalDdim:
                                         plan, 50, 21)
         err = np.abs(clips.mean(axis=0) - model.source.means[0])
         assert err.max() < 0.25  # sigma = sqrt(0.05), 50 draws
+
+
+class TestAffineOracle:
+    """Whole runs against ``oracles.affine_run``, which is exact given each
+    run's omega grid because every toy domain is one Gaussian."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("method", ["mdpa", "sine"])
+    def test_default_run(self, method, seed):
+        scenario = scenario_from_dict({})
+        run = (optimized_sample(scenario, seed) if method == "mdpa"
+               else baseline_sample(scenario, method, seed))
+        np.testing.assert_allclose(run.final_segments,
+                                   affine_run({}, run.omega_grid, seed).final,
+                                   rtol=0, atol=AFFINE_ATOL)
+
+    def test_long_optimized_run(self):
+        raw = {"layout": {"K": 16}, "schedule": {"N": 200}}
+        run = optimized_sample(scenario_from_dict(raw), 0)
+        np.testing.assert_allclose(run.final_segments,
+                                   affine_run(raw, run.omega_grid, 0).final,
+                                   rtol=0, atol=AFFINE_ATOL)
+
+    def test_needs_one_gaussian_domains(self):
+        raw = {"domains": {"c1": {"kind": "components", "components": [
+            {"weight": 1, "mean": 0}, {"weight": 1, "mean": 1}]}}}
+        with pytest.raises(ValueError, match="one-Gaussian"):
+            affine_run(raw, np.zeros((50, 4)), 0)
