@@ -52,9 +52,7 @@ def _check_out(out: Path):
 def _scorable(scenario: Scenario) -> Scenario:
     """``scenario`` if ``evaluate`` can score its clips, else a ScenarioError
     raised before any sampling run."""
-    for key, value, least in (("eval.n_clips", scenario.eval_n_clips, 2),
-                              ("eval.n_pairs", scenario.eval_n_pairs, 1),
-                              ("layout.S", scenario.layout.S, 4),
+    for key, value, least in (("layout.S", scenario.layout.S, 4),
                               ("layout.C", scenario.layout.C, 2)):
         if value < least:
             raise ScenarioError(
@@ -88,6 +86,8 @@ def _method_clips(scenario: Scenario, method: str, n_runs: int) -> np.ndarray:
     S = scenario.layout.S
     clips = []
     for r in range(n_runs):
+        if len(clips) >= scenario.eval_n_clips:  # later runs would be cut
+            break
         result = _run_method(scenario, method,
                              _sub_seed(scenario.seed, method, r))
         clips.extend(slice_windows(result.long_sequence, S, S // 2))
@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default="mdpa")
         if runs:
             p.add_argument("--runs", type=int, default=None,
-                           help="number of sampling runs to pool")
+                           help="most sampling runs to pool; sampling stops "
+                                "once eval.n_clips windows are held")
         if sweep:
             p.add_argument("--sweep", required=True, metavar="KEY=V1,V2,...",
                            help=f"scalar to vary, one of {sorted(SWEEP_KEYS)}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .schedules import NoiseSchedule, eps_of_x0
-from .segments import align_root
+from .segments import _check_stack, align_root
 
 POSTERIOR_VAR_FLOOR = 1e-12
 
@@ -56,9 +56,11 @@ class ControlConfig:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    transient: float
-    terminal: float
-    total: float
+    """Per-step energies over the stacks' leading axes, plus K per segment."""
+
+    transient: np.ndarray
+    terminal: np.ndarray
+    total: np.ndarray
     per_segment_transient: np.ndarray
 
 
@@ -66,23 +68,22 @@ class EnergyBreakdown:
 class SegmentPredictions:
     """Per-segment clean-signal predictions under both conditions and none."""
 
-    source: np.ndarray  # (K, S, C)
-    target: np.ndarray  # (K, S, C)
-    uncond: np.ndarray  # (K, S, C)
+    source: np.ndarray  # (..., K, S, C)
+    target: np.ndarray  # (..., K, S, C)
+    uncond: np.ndarray  # (..., K, S, C)
 
     def __post_init__(self):
         if not (self.source.shape == self.target.shape == self.uncond.shape):
             raise ValueError("prediction stacks must share a shape")
-        if self.source.ndim != 3:
-            raise ValueError("prediction stacks must be (K, S, C)")
+        _check_stack(self.source)
 
     @property
     def num_segments(self) -> int:
-        return self.source.shape[0]
+        return self.source.shape[-3]
 
     @cached_property
     def directions(self) -> np.ndarray:
-        """d mixed_k / d omega_k, the target-source difference, (K, S, C)."""
+        """d mixed_k / d omega_k, the target-source difference."""
         return self.target - self.source
 
     def mixed(self, omega: np.ndarray) -> np.ndarray:
@@ -99,11 +100,13 @@ def guidance_delta(x_t: np.ndarray, mixed_x0: np.ndarray, uncond_x0: np.ndarray,
             - eps_of_x0(x_t, uncond_x0, t, schedule))
 
 
-def _delta_coeff(t: int, schedule: NoiseSchedule) -> float:
-    """sqrt(alpha_bar_t) / sqrt(1 - alpha_bar_t): scale mapping x0-space
-    differences to noise-space deltas."""
+def _transient_weight(t: int, config: ControlConfig,
+                      schedule: NoiseSchedule) -> float:
+    """lambda_t times the square of sqrt(alpha_bar_t) / sqrt(1 - alpha_bar_t),
+    the scale mapping x0-space differences to noise-space deltas."""
     a = schedule.alpha_bar[t]
-    return np.sqrt(a) / np.sqrt(1.0 - a)
+    return (lambda_weight(t, schedule, config.lambda_mode)
+            * (np.sqrt(a) / np.sqrt(1.0 - a)) ** 2)
 
 
 def lambda_weight(t: int, schedule: NoiseSchedule, mode: str) -> float:
@@ -138,14 +141,14 @@ def reverse_kl_check(eps_a: np.ndarray, eps_b: np.ndarray, t: int,
     return float(np.sum(diff ** 2) / (2.0 * schedule.posterior_var[t]))
 
 
-def stitch_cost(x0hat_segments: np.ndarray) -> float:
-    """Squared L2 distance between overlapping halves of adjacent segments."""
-    S = x0hat_segments.shape[1]
-    if S % 2 != 0:
-        raise InvalidConfigError("segment length S must be even")
-    half = S // 2
-    diff = x0hat_segments[1:, :half] - x0hat_segments[:-1, half:]
-    return float((diff ** 2).sum())
+def stitch_cost(x0hat_segments: np.ndarray) -> np.ndarray:
+    """Squared L2 distance between overlapping halves of adjacent segments,
+    one per stack: a scalar for (K, S, C), an array for (..., K, S, C)."""
+    _check_stack(x0hat_segments)
+    half = x0hat_segments.shape[-2] // 2
+    diff = (x0hat_segments[..., 1:, :half, :]
+            - x0hat_segments[..., :-1, half:, :])
+    return (diff ** 2).sum(axis=(-3, -2, -1))
 
 
 def heuristic_omega(kind: str, K: int, sharpness: float) -> np.ndarray:
@@ -172,7 +175,7 @@ def heuristic_omega(kind: str, K: int, sharpness: float) -> np.ndarray:
 def control_energy(preds: SegmentPredictions, omega: np.ndarray, t: int,
                    config: ControlConfig, schedule: NoiseSchedule,
                    root_channel: int = 0) -> EnergyBreakdown:
-    """Per-step control energy of a mixing vector with pinned boundaries.
+    """Per-step control energy of mixing vectors with pinned boundaries.
 
     transient = lambda_t * sum_k ||delta_eps_k||^2 with the mixed prediction
     per segment; terminal = w_T * stitch cost of the root-aligned mixed
@@ -180,15 +183,14 @@ def control_energy(preds: SegmentPredictions, omega: np.ndarray, t: int,
     delta, which depends on the prediction difference alone.
     """
     K = preds.num_segments
-    if omega.shape != (K,):
+    if omega.shape[-1:] != (K,):
         raise ValueError(f"omega must have length {K}")
-    if omega[0] != 0.0 or omega[-1] != 1.0:
+    if np.any(omega[..., 0] != 0.0) or np.any(omega[..., -1] != 1.0):
         raise ValueError("omega boundaries must be pinned to 0 and 1 exactly")
-    lam = lambda_weight(t, schedule, config.lambda_mode)
-    c2 = _delta_coeff(t, schedule) ** 2
+    weight = _transient_weight(t, config, schedule)
     mixed = preds.mixed(omega)
-    per_seg = lam * c2 * ((preds.uncond - mixed) ** 2).sum(axis=(1, 2))
-    transient = float(per_seg.sum())
+    per_seg = weight * ((preds.uncond - mixed) ** 2).sum(axis=(-2, -1))
+    transient = per_seg.sum(axis=-1)
     terminal = config.w_T * stitch_cost(align_root(mixed, root_channel))
     return EnergyBreakdown(transient, terminal, transient + terminal, per_seg)
 
@@ -206,13 +208,12 @@ def transient_coefficients(preds: SegmentPredictions, t: int,
                            config: ControlConfig, schedule: NoiseSchedule):
     """Per-segment quadratics (q2, q1, q0) with
     per_segment_transient_k(w) = q2_k w^2 + q1_k w + q0_k."""
-    lam = lambda_weight(t, schedule, config.lambda_mode)
-    c2 = _delta_coeff(t, schedule) ** 2
+    weight = _transient_weight(t, config, schedule)
     u = preds.uncond - preds.source           # deviation at omega = 0
     w = preds.directions                      # mixing direction
-    q2 = lam * c2 * (w ** 2).sum(axis=(1, 2))
-    q1 = -2.0 * lam * c2 * (u * w).sum(axis=(1, 2))
-    q0 = lam * c2 * (u ** 2).sum(axis=(1, 2))
+    q2 = weight * (w ** 2).sum(axis=(-2, -1))
+    q1 = -2.0 * weight * (u * w).sum(axis=(-2, -1))
+    q0 = weight * (u ** 2).sum(axis=(-2, -1))
     return q2, q1, q0
 
 
@@ -221,30 +222,31 @@ def stitch_cost_aligned_gradient(aligned: np.ndarray, directions: np.ndarray,
     """Gradient of stitch_cost(align_root(mixed)) with respect to omega, from
     the root-aligned stack ``aligned = align_root(mixed, root_channel)``.
 
-    ``directions[k]`` is d mixed_k / d omega_k (the target-source difference).
-    Root-alignment offsets accumulate along segments, so earlier omegas leak
-    into later segments through the root channel; the offset derivatives are
-    tracked explicitly.  Leading axes of ``aligned`` before (K, S, C) index
-    independent stacks sharing ``directions``.
+    ``directions[..., k, :, :]`` is d mixed_k / d omega_k (the target-source
+    difference).  Root-alignment offsets accumulate along segments, so earlier
+    omegas leak into later segments through the root channel; the offset
+    derivatives are tracked explicitly.  The leading axes of ``aligned`` and
+    ``directions`` broadcast, so stacks may share one ``directions``.
     """
-    K, S, C = aligned.shape[-3:]
+    K, S = aligned.shape[-3:-1]
     half = S // 2
     resid = aligned[..., 1:, :half, :] - aligned[..., :-1, half:, :]
-    rows = resid.shape[:-2] + (half * C,)       # overlap k | k+1 per row
-    into_next = 2.0 * (resid * directions[1:, :half]).reshape(rows).sum(-1)
-    out_of_prev = 2.0 * (resid * directions[:-1, half:]).reshape(rows).sum(-1)
+    into_next = 2.0 * (resid * directions[..., 1:, :half, :]).sum((-2, -1))
+    out_of_prev = 2.0 * (resid * directions[..., :-1, half:, :]).sum((-2, -1))
     root_resid = 2.0 * resid[..., root_channel].sum(axis=-1)
     # offset_k = sum_{j<k} (last root of aligned j - first root of j+1), so
     # d offset_k / d omega_j is last_j - first_j for 0 < j < k, last_0 for
     # j = 0 and -first_k for j = k.  ``own`` is d offset_k / d omega_k; the
     # differences keep the rounding of the running sums they stand for.
-    first = directions[:, 0, root_channel]
-    last = directions[:, S - 1, root_channel]
-    own = np.concatenate(([0.0], 0.0 - first[1:]))
-    d_own = (own[:-1] + last[:-1]) - own[:-1]  # offset_{k+1} - offset_k, omega_k
-    grad = np.zeros(aligned.shape[:-2])
+    first = directions[..., 0, root_channel]
+    last = directions[..., S - 1, root_channel]
+    own = np.zeros(first.shape)
+    own[..., 1:] = 0.0 - first[..., 1:]
+    # offset_{k+1} - offset_k with respect to omega_k
+    d_own = (own[..., :-1] + last[..., :-1]) - own[..., :-1]
+    grad = np.zeros(into_next.shape[:-1] + (K,))
     grad[..., 1:] += into_next
-    grad[..., 1:] += root_resid * own[1:]
+    grad[..., 1:] += root_resid * own[..., 1:]
     grad[..., :-1] -= out_of_prev
     grad[..., :-1] += root_resid * d_own
     return grad

@@ -131,15 +131,15 @@ def _check_counts(T: int, N: int, J: int, layout: SegmentLayout,
     """Range and size checks of the step and sample counts, before anything
     of their size is allocated: T+1 schedule values, (J+1)*K latent values
     per step, n_clips*S*C clip values and n_pairs diversity pairs."""
-    if T < 2:
-        raise ScenarioError(f"schedule.T must be >= 2, got {T}")
-    if T + 1 > MAX_LAYOUT_VALUES:
-        raise ScenarioError(f"schedule.T gives T+1 = {T + 1} values, more "
-                            f"than the bound of {MAX_LAYOUT_VALUES}")
+    for key, got, least in zip(("schedule.T", "eval.n_clips", "eval.n_pairs"),
+                               (T, n_clips, n_pairs), (2, 2, 1)):
+        if got < least:
+            raise ScenarioError(f"{key} must be >= {least}, got {got}")
     if not 1 <= N <= T:
         raise ScenarioError(f"schedule.N must lie in [1, T] = [1, {T}], "
                             f"got {N}")
     for names, size in (
+            ("schedule.T gives T+1", T + 1),
             ("optimizer.J and layout.K give (J+1)*K", (J + 1) * layout.K),
             ("eval.n_clips, layout.S and layout.C give n_clips*S*C",
              n_clips * layout.S * layout.C),

@@ -2,6 +2,7 @@
 
 Segment stacks have shape (K, S, C): K segments of S frames with C channels.
 Consecutive segments overlap by S/2 frames in the assembled timeline.
+Leading axes before (K, S, C) index independent stacks.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from .errors import InvalidConfigError
 
 
 def _check_stack(segments: np.ndarray):
-    if segments.ndim != 3:
+    if segments.ndim < 3:
         raise ValueError(f"expected (K, S, C) stack, got shape {segments.shape}")
-    if segments.shape[1] % 2 != 0:
+    if segments.shape[-2] % 2 != 0:
         raise InvalidConfigError("segment length S must be even")
 
 
@@ -25,8 +26,8 @@ def hard_stitch_project(segments: np.ndarray) -> np.ndarray:
     """
     _check_stack(segments)
     out = segments.copy()
-    half = segments.shape[1] // 2
-    out[1:, :half] = segments[:-1, half:]
+    half = segments.shape[-2] // 2
+    out[..., 1:, :half, :] = segments[..., :-1, half:, :]
     return out
 
 
@@ -35,11 +36,9 @@ def align_root(segments: np.ndarray, root_channel: int = 0) -> np.ndarray:
 
     For k ascending, a constant offset (last root value of the shifted
     segment k minus first root value of segment k+1) is added to every frame
-    of segment k+1's root channel; other channels are untouched.  Leading
-    axes before (K, S, C) index independent stacks.
+    of segment k+1's root channel; other channels are untouched.
     """
-    if segments.ndim < 3:
-        raise ValueError(f"expected (K, S, C) stack, got shape {segments.shape}")
+    _check_stack(segments)
     if not 0 <= root_channel < segments.shape[-1]:
         raise InvalidConfigError(f"root channel {root_channel} out of range")
     out = segments.copy()
@@ -60,12 +59,14 @@ def assemble_crossfade(segments: np.ndarray) -> np.ndarray:
     already agree the blend is an exact copy.
     """
     _check_stack(segments)
-    _, S, C = segments.shape
+    S, C = segments.shape[-2:]
     half = S // 2
     ramp = (np.arange(half, dtype=np.float64) / half)[:, None]
-    blends = (1.0 - ramp) * segments[:-1, half:] + ramp * segments[1:, :half]
-    return np.concatenate([segments[0, :half], blends.reshape(-1, C),
-                           segments[-1, half:]])
+    blends = ((1.0 - ramp) * segments[..., :-1, half:, :]
+              + ramp * segments[..., 1:, :half, :])
+    return np.concatenate([segments[..., 0, :half, :],
+                           blends.reshape(blends.shape[:-3] + (-1, C)),
+                           segments[..., -1, half:, :]], axis=-2)
 
 
 def slice_windows(sequence: np.ndarray, S: int, stride: int) -> list[np.ndarray]:

@@ -21,10 +21,13 @@ from pathmix import (ControlConfig, EnergyBreakdown, NumericError,
                      build_cosine_schedule, geometric_features,
                      kinetic_features, optimize_mixing,
                      select_ddim_timesteps)
-from pathmix.control import stitch_cost, stitch_cost_aligned_gradient
+from pathmix.control import (control_energy, stitch_cost,
+                             stitch_cost_aligned_gradient,
+                             transient_coefficients)
 from pathmix.mixtures import (ConditionModel, GaussianMixture, logsumexp,
                               predict_x0)
-from pathmix.optim import _QuadraticEnergy, _interior_basis, sigmoid
+from pathmix.optim import _QuadraticEnergy, _interior_basis, pinned, sigmoid
+from pathmix.schedules import ddim_step
 from pathmix.segments import (align_root, assemble_crossfade,
                                hard_stitch_project)
 
@@ -221,6 +224,81 @@ class TestSegmentKernels:
         assert np.array_equal(
             stitch_cost_aligned_gradient(align_root(mixed, root), dirs, root),
             want)
+
+
+SCHEDULE = build_cosine_schedule(1000)
+
+# Every per-step kernel of (preds, omega, root, shared directions): called
+# on (..., K, S, C) stacks with (..., K) mixing vectors it must give, row for
+# row, what it gives on each stack alone.
+STACK_KERNELS = {
+    "mixed": lambda p, w, root, d: p.mixed(w),
+    "directions": lambda p, w, root, d: p.directions,
+    "align_root": lambda p, w, root, d: align_root(p.mixed(w), root),
+    "stitch_cost": lambda p, w, root, d: stitch_cost(p.mixed(w)),
+    "hard_stitch_project": lambda p, w, root, d: hard_stitch_project(
+        p.mixed(w)),
+    "assemble_crossfade": lambda p, w, root, d: assemble_crossfade(
+        p.mixed(w)),
+    "transient_coefficients": lambda p, w, root, d: np.stack(
+        transient_coefficients(p, 500, ControlConfig(), SCHEDULE), axis=-1),
+    "control_energy": lambda p, w, root, d: control_energy(
+        p, w, 500, ControlConfig(w_T=0.5), SCHEDULE, root),
+    "gradient": lambda p, w, root, d: stitch_cost_aligned_gradient(
+        align_root(p.mixed(w), root), p.directions, root),
+    "gradient_shared_directions": lambda p, w, root, d:
+        stitch_cost_aligned_gradient(align_root(p.mixed(w), root), d, root),
+    "ddim_step": lambda p, w, root, d: ddim_step(p.uncond, p.mixed(w), 500,
+                                                 480, SCHEDULE),
+}
+
+
+def stacked(per_run, lead):
+    """The per-run results of the runs of ``lead``, in C order, as one
+    array (or EnergyBreakdown of arrays) with leading axes ``lead``."""
+    if isinstance(per_run[0], EnergyBreakdown):
+        return EnergyBreakdown(*(stacked([getattr(e, f) for e in per_run],
+                                         lead)
+                                 for f in ("transient", "terminal", "total",
+                                           "per_segment_transient")))
+    return np.stack(per_run).reshape(lead + np.shape(per_run[0]))
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 3)])
+@pytest.mark.parametrize("K,S,C,root", SHAPES)
+@pytest.mark.parametrize("name", list(STACK_KERNELS) + ["predict_x0"])
+def test_stacked_call_matches_per_run_calls(rng, name, K, S, C, root, lead):
+    source, target, uncond = rng.normal(size=(3,) + lead + (K, S, C))
+    omega = pinned(rng.uniform(size=lead + (K - 2,)))
+    shared = rng.normal(size=(K, S, C))
+    if name == "predict_x0":
+        model = random_model(rng, 3, 2, S, C)
+
+        def kernel(p, w, root, d):
+            return np.stack(predict_x0(model, p.uncond, 500, SCHEDULE))
+    else:
+        kernel = STACK_KERNELS[name]
+    got = kernel(SegmentPredictions(source, target, uncond), omega, root,
+                 shared)
+    want = stacked([kernel(SegmentPredictions(source[i], target[i],
+                                              uncond[i]),
+                           omega[i], root, shared)
+                    for i in np.ndindex(lead)], lead)
+    if name == "control_energy":
+        assert same_energy(got, want)
+    elif name == "predict_x0":  # (3, ...) of the three conditions
+        assert np.array_equal(got, np.moveaxis(want, len(lead), 0))
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("end", [0, -1])
+def test_stacked_omega_with_one_unpinned_row_rejected(rng, end):
+    preds = SegmentPredictions(*rng.normal(size=(3, 4, 16, 4)))
+    omega = pinned(rng.uniform(size=(5, 2)))
+    omega[3, end] = 0.5
+    with pytest.raises(ValueError, match="pinned"):
+        control_energy(preds, omega, 500, ControlConfig(), SCHEDULE)
 
 
 @pytest.mark.parametrize("K,S,C,root", [s for s in SHAPES if s[0] >= 3])

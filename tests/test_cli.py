@@ -10,6 +10,7 @@ import pytest
 import pathmix.checks
 from pathmix.checks import check_kl_proportionality, run_check
 from pathmix.cli import main
+from pathmix.sampling import baseline_sample
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -242,6 +243,26 @@ class TestEvaluate:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["n_gen"] == 8
         assert np.isfinite(metrics["fid_kinetic"])
+
+    def test_runs_past_n_clips_sample_nothing_more(self, fast_scenario_path,
+                                                   tmp_path, monkeypatch):
+        # 2 runs of K=4 windows hold the 8 clips; more runs used to be
+        # sampled and their windows dropped
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return baseline_sample(*args)
+        monkeypatch.setattr("pathmix.cli.baseline_sample", counted)
+        written = []
+        for runs in ("2", "5"):
+            out = tmp_path / runs
+            assert main(["evaluate", "--scenario", str(fast_scenario_path),
+                         "--method", "sine", "--runs", runs,
+                         "--out", str(out)]) == 0
+            written.append((out / "metrics.json").read_bytes())
+        assert len(calls) == 4
+        assert written[0] == written[1]
 
     # the two oversized counts ended in a numpy memory error after the
     # sampling runs before they were bounded at load

@@ -75,8 +75,8 @@ KEYS = [
     Key("control.w_T", float, 0.0, 1e100),
     Key("control.sigmoid_sharpness", float, SMALLEST_NORMAL, None,
         probes=(1e-17, 1e5)),
-    Key("eval.n_clips", int, None, BOUND // 8, scored=2, size=True),
-    Key("eval.n_pairs", int, None, BOUND, scored=1, size=True),
+    Key("eval.n_clips", int, 2, BOUND // 8, size=True),
+    Key("eval.n_pairs", int, 1, BOUND, size=True),
     Key("seed", int, 0, None),
     Key("domains.p0", float, 0.0, 1.0, open=True),
     *(Key(f"domains.{c}.{field}", float, least, most)
