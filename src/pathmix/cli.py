@@ -151,13 +151,17 @@ def _parse_sweep(spec: str):
     if key not in SWEEP_KEYS:
         raise ScenarioError(
             f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
-    parsed = []
+    parsed, named = [], {}
     for token in values.split(","):
         try:
             parsed.append(float(token))
         except ValueError:
             raise ScenarioError(
                 f"sweep {key} needs numeric values, got {token!r}") from None
+        other = named.setdefault(f"{parsed[-1]:g}", token)  # run dir suffix
+        if len(named) < len(parsed):
+            raise ScenarioError(f"--sweep {key}: values {other!r} and "
+                                f"{token!r} would share one run directory")
     return key, parsed
 
 

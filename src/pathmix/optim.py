@@ -87,9 +87,9 @@ def pinned(u: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _interior_basis(K: int) -> np.ndarray:
-    """Read-only (K-1, K) mixing vectors: row 0 has interior omega 0, row
-    j + 1 the j-th interior basis vector; built once per K."""
-    basis = pinned(np.eye(K - 1, K - 2, -1))
+    """Read-only (K-1, K, 1, 1) mask of the ones of the mixing vectors with
+    interior omega 0 (row 0) and each interior unit vector; built per K."""
+    basis = (pinned(np.eye(K - 1, K - 2, -1)) == 1.0)[..., None, None]
     basis.flags.writeable = False
     return basis
 
@@ -113,7 +113,9 @@ class _QuadraticEnergy:
         self.w_T = control_config.w_T
         self.q2, self.q1, self.q0 = transient_coefficients(
             preds, t, control_config, schedule)
-        aligned = align_root(preds.mixed(_interior_basis(K)), root_channel)
+        # preds.mixed(basis) up to zeros' signs, which the model's sums drop
+        basis = np.where(_interior_basis(K), preds.target, preds.source)
+        aligned = align_root(basis, root_channel)
         self.phi_const = stitch_cost(aligned[0])
         grads = stitch_cost_aligned_gradient(
             aligned, preds.directions, root_channel)[:, 1:K - 1]

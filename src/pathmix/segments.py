@@ -34,9 +34,10 @@ def hard_stitch_project(segments: np.ndarray) -> np.ndarray:
 def align_root(segments: np.ndarray, root_channel: int = 0) -> np.ndarray:
     """Shift each segment's root channel to continue from its predecessor.
 
-    For k ascending, a constant offset (last root value of the shifted
-    segment k minus first root value of segment k+1) is added to every frame
-    of segment k+1's root channel; other channels are untouched.
+    For k ascending, segment k+1's root channel is shifted by the last root
+    value of shifted segment k minus its own first; other channels are
+    untouched.  The shifts are every other partial sum of one accumulation
+    over [last_0, -first_1, last_1, ...]: the loop's, since x + -y is x - y.
     """
     _check_stack(segments)
     if not 0 <= root_channel < segments.shape[-1]:
@@ -44,9 +45,9 @@ def align_root(segments: np.ndarray, root_channel: int = 0) -> np.ndarray:
     out = segments.copy()
     firsts = segments[..., 1:, 0, root_channel]
     lasts = segments[..., :-1, -1, root_channel]
-    offsets = lasts - firsts   # offset of segment k+1; final for k = 0
-    for k in range(1, offsets.shape[-1]):
-        offsets[..., k] = (lasts[..., k] + offsets[..., k - 1]) - firsts[..., k]
+    terms = np.empty(firsts.shape[:-1] + (2 * firsts.shape[-1],))
+    terms[..., ::2], terms[..., 1::2] = lasts, -firsts
+    offsets = np.add.accumulate(terms, axis=-1)[..., 1::2]
     out[..., 1:, :, root_channel] += offsets[..., None]
     return out
 

@@ -16,11 +16,12 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from oracles import (ORDER, AdamState, adam_update, clip_geometric_features,
                      clip_kinetic_features)
+import pathmix.sampling
 from pathmix import (ControlConfig, EnergyBreakdown, NumericError,
                      OptimizerConfig, SegmentPredictions,
                      build_cosine_schedule, geometric_features,
-                     kinetic_features, optimize_mixing,
-                     select_ddim_timesteps)
+                     kinetic_features, optimize_mixing, optimized_sample,
+                     scenario_from_dict, select_ddim_timesteps)
 from pathmix.control import (control_energy, stitch_cost,
                              stitch_cost_aligned_gradient,
                              transient_coefficients)
@@ -208,6 +209,18 @@ class TestSegmentKernels:
         want = np.stack([[loop_align_root(s, root) for s in row] for row in x])
         assert np.array_equal(align_root(x, root), want)
 
+    def test_align_root_extreme_offsets(self, rng, K, S, C, root):
+        # offsets near 1e-300 (subnormal partial sums) and 1e300, of both
+        # signs and with signed zeros, compared by bytes: np.array_equal
+        # would take -0.0 for 0.0
+        for scale in (1e-300, 1e300):
+            x = scale * rng.normal(size=(50, K, S, C))
+            x[rng.uniform(size=x.shape) < 0.3] = 0.0
+            x[rng.uniform(size=x.shape) < 0.3] = -0.0
+            want = np.stack([loop_align_root(s, root) for s in x])
+            assert align_root(x, root).tobytes() == want.tobytes()
+            assert align_root(x[0], root).tobytes() == want[0].tobytes()
+
     def test_stitch_cost_aligned_gradient(self, rng, K, S, C, root):
         for scale in (1.0, 1e-3, 1e6):
             mixed, dirs = random_stacks(rng, (), K, S, C, scale)
@@ -301,32 +314,49 @@ def test_stacked_omega_with_one_unpinned_row_rejected(rng, end):
         control_energy(preds, omega, 500, ControlConfig(), SCHEDULE)
 
 
+def signed_zero_stacks(rng, K, S, C):
+    """Source and target stacks with about 30% exact +0.0 and -0.0 entries,
+    where selecting a basis stack and mixing it, (1 - w) s + w t, differ in
+    the sign of a zero."""
+    stacks = rng.normal(size=(2, K, S, C))
+    zero = rng.uniform(size=stacks.shape) < 0.3
+    stacks[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+    return stacks
+
+
 @pytest.mark.parametrize("K,S,C,root", [s for s in SHAPES if s[0] >= 3])
 def test_terminal_model_matches_per_column_build(rng, K, S, C, root):
-    preds = SegmentPredictions(rng.normal(size=(K, S, C)),
-                               rng.normal(size=(K, S, C)),
-                               rng.normal(size=(K, S, C)))
-    quad = _QuadraticEnergy(preds, 500, ControlConfig(),
-                            build_cosine_schedule(1000), root)
-    const, g0, hess = loop_terminal_model(preds, root)
-    assert quad.phi_const == const
-    assert np.array_equal(quad.phi_grad0, g0)
-    assert np.array_equal(quad.phi_hess, hess)
-    u = rng.uniform(size=K - 2)
-    assert np.array_equal(quad.phi_hess @ u, hess @ u)
+    # compared by bytes: np.array_equal would take -0.0 for 0.0
+    zeros = signed_zero_stacks(rng, K, S, C)
+    w = pinned(np.eye(K - 1, K - 2, -1))[..., None, None]
+    mixed = (1.0 - w) * zeros[0] + w * zeros[1]
+    selected = np.where(_interior_basis(K), zeros[1], zeros[0])
+    assert selected.tobytes() != mixed.tobytes()  # the case is reached
+    for source, target in (rng.normal(size=(2, K, S, C)), zeros):
+        preds = SegmentPredictions(source, target,
+                                   rng.normal(size=(K, S, C)))
+        quad = _QuadraticEnergy(preds, 500, ControlConfig(),
+                                build_cosine_schedule(1000), root)
+        const, g0, hess = loop_terminal_model(preds, root)
+        assert np.float64(quad.phi_const).tobytes() == const.tobytes()
+        assert quad.phi_grad0.tobytes() == g0.tobytes()
+        assert quad.phi_hess.tobytes() == hess.tobytes()
+        u = rng.uniform(size=K - 2)
+        assert np.array_equal(quad.phi_hess @ u, hess @ u)
 
 
 @pytest.mark.parametrize("K", [2, 3, 4, 16])
 def test_interior_basis_is_read_only(K):
     basis = _interior_basis(K)
     assert basis is _interior_basis(K)
-    assert np.array_equal(basis, np.concatenate(
+    assert basis.dtype == bool and basis.shape == (K - 1, K, 1, 1)
+    assert np.array_equal(basis[..., 0, 0], np.concatenate(
         [np.zeros((K - 1, 1)), np.eye(K - 1, K - 2, -1), np.ones((K - 1, 1))],
-        axis=1))
+        axis=1) == 1.0)
     with pytest.raises(ValueError, match="read-only"):
-        basis[0, 0] = 0.5
+        basis[0, 0] = True
     with pytest.raises(ValueError, match="read-only"):
-        basis += 0.0
+        basis |= True
 
 
 def test_sigmoid_matches_masked_form(rng):
@@ -355,6 +385,60 @@ def test_predict_x0_one_pass_matches_single_conditions(rng, m0, m1, lead):
             assert np.array_equal(mean,
                                   loop_predict_x0(model, x, t, cond, schedule))
         x = got[2] + 0.3 * rng.normal(size=x.shape)
+
+
+def test_predict_x0_one_component_domain_matches_single_conditions(rng):
+    # a one-component "components" domain of weight 0.37, loaded as a scenario
+    # is; its mean has -0.0 entries, and x_t the smallest subnormal of either
+    # sign there, so that posterior means of -0.0 occur (a sum over one
+    # component gives +0.0 for them); compared by bytes
+    S, C = 6, 3
+    mean = rng.normal(size=(S, C))
+    mean[::2, 0] = -0.0
+    domain = {"kind": "components",
+              "components": [{"weight": 0.37, "mean": mean.tolist()}]}
+    scenario = scenario_from_dict({"layout": {"K": 4, "S": S, "C": C},
+                                   "domains": {"c0": domain}})
+    model, schedule = scenario.model, scenario.schedule
+    assert model.source.weights.tolist() == [1.0]
+    x = rng.normal(size=(4, S, C))
+    x[..., ::2, 0] = np.copysign(5e-324, rng.normal(size=(4, S // 2)))
+    for t in scenario.plan.steps[:-1]:
+        t = int(t)
+        got = predict_x0(model, x, t, schedule)
+        for cond, mean in zip(ORDER, got):
+            want = loop_predict_x0(model, x, t, cond, schedule)
+            assert mean.tobytes() == want.tobytes()
+    # far from every mean the likelihoods underflow to -inf and the
+    # oracle's responsibilities are NaN; a shortcut must not hide that
+    far = np.full((4, S, C), 1e200)
+    with np.errstate(all="ignore"):
+        got = predict_x0(model, far, 500, schedule)
+        for cond, mean in zip(ORDER, got):
+            want = loop_predict_x0(model, far, 500, cond, schedule)
+            assert np.isnan(want).all()
+            assert np.array_equal(mean, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_run_matches_per_condition_predictions(monkeypatch, seed):
+    # the default scenario's toy domains are one-component mixtures: its runs
+    # must equal, by bytes, runs whose predictions come from the per-condition
+    # oracle's full log-sum-exp pass
+    scenario = scenario_from_dict({})
+    got = optimized_sample(scenario, seed)
+
+    def oracle(model, x_t, t, schedule):
+        return tuple(loop_predict_x0(model, x_t, t, cond, schedule)
+                     for cond in ORDER)
+
+    monkeypatch.setattr(pathmix.sampling, "predict_x0", oracle)
+    want = optimized_sample(scenario, seed)
+    for field in ("final_segments", "long_sequence", "omega_grid"):
+        assert (getattr(got, field).tobytes()
+                == getattr(want, field).tobytes())
+    assert all(a.total.tobytes() == b.total.tobytes()
+               for a, b in zip(got.energy_trace, want.energy_trace))
 
 
 def test_predict_x0_alternating_models_keep_their_own_weights(rng):

@@ -365,6 +365,21 @@ class TestSweep:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    # values that print alike under {value:g} would share one run directory,
+    # which would then hold only the later run
+    @pytest.mark.parametrize("spec,first,second", [
+        ("lr=0.0100000001,0.01", "0.0100000001", "0.01"),
+        ("w_T=1,1", "1", "1")])
+    def test_values_sharing_a_run_directory_exit_2_before_any_run(
+            self, fast_scenario_path, tmp_path, capsys, spec, first, second):
+        code = main(["sweep", "--scenario", str(fast_scenario_path),
+                     "--sweep", spec, "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sweep")
+        assert f"values '{first}' and '{second}'" in err
+        assert not (tmp_path / "s").exists()
+
 
 @pytest.mark.parametrize("argv,out", [
     (["generate"], "file"),
