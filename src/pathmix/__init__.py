@@ -5,7 +5,7 @@ constraints, and a Frechet-distance evaluation suite."""
 from .control import (ControlConfig, EnergyBreakdown, SegmentPredictions,
                       control_energy, guidance_delta, heuristic_omega,
                       lambda_weight, reverse_kl_check, stitch_cost)
-from .errors import InvalidConfigError, NumericError, ScenarioError
+from .errors import NumericError, ScenarioError
 from .metrics import (EvalReport, FeatureStats, diversity, dynamics_stats,
                       evaluate, frechet_distance, geometric_features,
                       kinetic_features, standardize)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -16,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_check
-from .errors import InvalidConfigError, NumericError, ScenarioError
+from .errors import NumericError, ScenarioError
 from .metrics import evaluate
 from .mixtures import Condition, sample_clips
 from .sampling import baseline_sample, optimized_sample
-from .scenario import (METHOD_ORDER, Scenario, _write_csv,
+from .scenario import (METHOD_ORDER, RUN_FILES, Scenario, _write_csv,
                        export_comparison_table, load_scenario,
                        scenario_from_dict, write_run)
 from .segments import slice_windows
@@ -38,15 +39,18 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _check_out(out: Path):
-    """An InvalidConfigError, raised before any sampling run, if no
-    directory can be made at ``out`` because it or a parent is a file."""
-    for path in (out, *out.parents):
-        if path.exists():
-            if not path.is_dir():
-                raise InvalidConfigError(
-                    f"--out {out}: {path} is not a directory")
-            return
+def _check_out(out: Path, files):
+    """A ScenarioError naming --out and the path, raised before any sampling
+    run, if a path the command writes exists as the wrong kind: ``out``'s
+    nearest existing path or the directory of one of the ``files`` under
+    ``out`` as anything but a directory, or one of the files as one."""
+    nearest = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    for path in (nearest, *((out / f).parent for f in files)):
+        if os.path.lexists(path) and not path.is_dir():
+            raise ScenarioError(f"--out {out}: {path} is not a directory")
+    for path in (out / f for f in files):
+        if path.is_dir():
+            raise ScenarioError(f"--out {out}: {path} is a directory")
 
 
 def _scorable(scenario: Scenario) -> Scenario:
@@ -98,11 +102,12 @@ def _n_runs(args, scenario: Scenario) -> int:
     if args.runs is None:  # one run yields K sliding windows of the sequence
         return -(-scenario.eval_n_clips // scenario.layout.K)
     if args.runs < 1:
-        raise InvalidConfigError(f"--runs must be >= 1, got {args.runs}")
+        raise ScenarioError(f"--runs must be >= 1, got {args.runs}")
     return args.runs
 
 
 def cmd_generate(args) -> int:
+    _check_out(args.out, RUN_FILES)
     scenario = _load(args)
     result = _run_method(scenario, args.method, scenario.seed)
     write_run(result, out_dir=args.out)
@@ -111,6 +116,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_out(args.out, ["metrics.json"])
     scenario = _scorable(_load(args))
     gen = _method_clips(scenario, args.method, _n_runs(args, scenario))
     gt = _gt_clips(scenario, scenario.seed)
@@ -125,6 +131,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_out(args.out, ["comparison.csv"])
     scenario = _scorable(_load(args))
     n_runs = _n_runs(args, scenario)
     gt = _gt_clips(scenario, scenario.seed)
@@ -181,6 +188,9 @@ def cmd_sweep(args) -> int:
     # every variant is built first, so that a bad value writes nothing
     variants = [_variant(scenario, key, value) for value in values]
     out = Path(args.out)
+    _check_out(out, ["summary.csv", *(f"{key}_{value:g}/{name}"
+                                      for value in values
+                                      for name in RUN_FILES)])
     rows = []
     for value, variant in zip(values, variants):
         result = optimized_sample(variant, variant.seed)
@@ -241,10 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "out", None) is not None:
-            _check_out(args.out)
         return args.handler(args)
-    except (ScenarioError, InvalidConfigError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import ScenarioError
 from .schedules import NoiseSchedule, eps_of_x0
 from .segments import _check_stack, align_root
 
@@ -41,17 +41,17 @@ class ControlConfig:
     def __post_init__(self):
         for key in ("w_T", "sigmoid_sharpness"):
             if not np.isfinite(getattr(self, key)):
-                raise InvalidConfigError(f"control.{key} must be finite")
+                raise ScenarioError(f"control.{key} must be finite")
         if not 0 <= self.w_T <= MAX_TERMINAL_WEIGHT:
-            raise InvalidConfigError(
+            raise ScenarioError(
                 f"control.w_T must lie in [0, {MAX_TERMINAL_WEIGHT:g}], "
                 f"got {self.w_T:g}")
         if self.lambda_mode not in ("posterior", "unit"):
-            raise InvalidConfigError(
+            raise ScenarioError(
                 f"control.lambda_mode: unknown lambda_mode {self.lambda_mode!r}")
         if self.sigmoid_sharpness < MIN_SIGMOID_SHARPNESS:
-            raise InvalidConfigError("control.sigmoid_sharpness must be >= "
-                                     f"{MIN_SIGMOID_SHARPNESS!r}")
+            raise ScenarioError("control.sigmoid_sharpness must be >= "
+                                f"{MIN_SIGMOID_SHARPNESS!r}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def lambda_weight(t: int, schedule: NoiseSchedule, mode: str) -> float:
     if mode == "unit":
         return 1.0
     if mode != "posterior":
-        raise InvalidConfigError(f"unknown lambda mode {mode!r}")
+        raise ScenarioError(f"unknown lambda mode {mode!r}")
     beta = schedule.beta[t]
     pv = max(schedule.posterior_var[t], POSTERIOR_VAR_FLOOR)
     return beta ** 2 / (2.0 * (1.0 - beta) * (1.0 - schedule.alpha_bar[t]) * pv)
@@ -160,7 +160,7 @@ def heuristic_omega(kind: str, K: int, sharpness: float) -> np.ndarray:
     + tanh(s / 4)) / (2 tanh(s / 4)): exact ends, and it cannot overflow.
     """
     if K < 2:
-        raise InvalidConfigError("need K >= 2 segments")
+        raise ScenarioError("need K >= 2 segments")
     u = np.arange(K, dtype=np.float64) / (K - 1)
     if kind == "linear":
         return u
@@ -169,7 +169,7 @@ def heuristic_omega(kind: str, K: int, sharpness: float) -> np.ndarray:
     if kind == "sigmoid":
         raw = np.tanh(sharpness * (u - 0.5) / 2)  # raw[-1] is tanh(s / 4)
         return (raw + raw[-1]) / (2 * raw[-1])
-    raise InvalidConfigError(f"unknown schedule kind {kind!r}")
+    raise ScenarioError(f"unknown schedule kind {kind!r}")
 
 
 def control_energy(preds: SegmentPredictions, omega: np.ndarray, t: int,

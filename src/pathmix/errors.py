@@ -1,13 +1,10 @@
-"""Exception types shared across the package."""
-
-
-class InvalidConfigError(ValueError):
-    """A configuration value violates its contract (bad K, odd S, T < 2, ...)."""
+"""Exception types shared across the package; a bad argument that is not a
+configuration value, such as a timestep or a shape, raises a ValueError."""
 
 
 class NumericError(ArithmeticError):
-    """A non-finite value appeared where finite math was required."""
+    """A non-finite value appeared where finite math was required (exit 1)."""
 
 
 class ScenarioError(ValueError):
-    """A scenario file failed to parse or validate."""
+    """A scenario key, CLI option or configuration argument is bad (exit 2)."""

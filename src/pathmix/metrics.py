@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import ScenarioError
 
 STD_FLOOR = 1e-8
 PSD_TOL = 1e-6
@@ -29,7 +29,7 @@ class FeatureStats:
     def from_features(cls, features: np.ndarray) -> "FeatureStats":
         features = np.atleast_2d(features)
         if len(features) < 2:
-            raise InvalidConfigError("need at least 2 feature vectors")
+            raise ScenarioError("need at least 2 feature vectors")
         mean = features.mean(axis=0)
         cov = np.cov(features, rowvar=False, ddof=1)
         cov = np.atleast_2d(cov)
@@ -54,7 +54,7 @@ def kinetic_features(clips: np.ndarray) -> np.ndarray:
     """Per-channel RMS first and second finite differences, length 2C."""
     clips = np.asarray(clips)
     if clips.shape[-2] < 3:
-        raise InvalidConfigError("kinetic features need at least 3 frames")
+        raise ScenarioError("kinetic features need at least 3 frames")
     vel = np.diff(clips, axis=-2)
     acc = np.diff(clips, n=2, axis=-2)
     rms = lambda d: np.sqrt(np.mean(d ** 2, axis=-2))
@@ -67,7 +67,7 @@ def geometric_features(clips: np.ndarray) -> np.ndarray:
     clips = np.asarray(clips)
     C = clips.shape[-1]
     if C < 2:
-        raise InvalidConfigError("geometric features need at least 2 channels")
+        raise ScenarioError("geometric features need at least 2 channels")
     i, j = np.triu_indices(C, 1)
     pair = np.mean(np.abs(clips[..., i] - clips[..., j]), axis=-2)
     return np.concatenate([clips.mean(axis=-2), pair], axis=-1)
@@ -107,9 +107,9 @@ def diversity(features: np.ndarray, n_pairs: int, rng_seed: int) -> float:
     """Mean Euclidean distance over randomly sampled distinct index pairs."""
     features = np.atleast_2d(features)
     if len(features) < 2:
-        raise InvalidConfigError("diversity needs at least 2 feature vectors")
+        raise ScenarioError("diversity needs at least 2 feature vectors")
     if n_pairs < 1:
-        raise InvalidConfigError("n_pairs must be >= 1")
+        raise ScenarioError("n_pairs must be >= 1")
     rng = np.random.default_rng(rng_seed)
     n = len(features)
     i = rng.integers(0, n, size=n_pairs)
@@ -122,7 +122,7 @@ def dynamics_stats(clips: np.ndarray) -> tuple[float, float, float, float]:
     """Pooled acceleration/jerk magnitude statistics over all clips."""
     clips = np.asarray(clips)
     if clips.shape[-2] < 4:
-        raise InvalidConfigError("dynamics stats need at least 4 frames")
+        raise ScenarioError("dynamics stats need at least 4 frames")
     accel = np.abs(np.diff(clips, n=2, axis=-2)).ravel()
     jerk = np.abs(np.diff(clips, n=3, axis=-2)).ravel()
     return (float(accel.mean()), float(accel.var()),
@@ -134,7 +134,7 @@ def evaluate(gen_clips, gt_clips, n_pairs: int, rng_seed: int) -> EvalReport:
     gen_clips = np.asarray(gen_clips)
     gt_clips = np.asarray(gt_clips)
     if len(gen_clips) == 0 or len(gt_clips) == 0:
-        raise InvalidConfigError("both clip sets must be non-empty")
+        raise ScenarioError("both clip sets must be non-empty")
 
     report = {}
     for name, extractor in (("kinetic", kinetic_features),

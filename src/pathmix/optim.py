@@ -19,7 +19,7 @@ import numpy as np
 from .control import (ControlConfig, EnergyBreakdown, SegmentPredictions,
                       stitch_cost, stitch_cost_aligned_gradient,
                       transient_coefficients)
-from .errors import InvalidConfigError, NumericError
+from .errors import NumericError, ScenarioError
 from .schedules import NoiseSchedule
 from .segments import align_root
 
@@ -37,11 +37,11 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if not np.isfinite(self.lr):
-            raise InvalidConfigError("optimizer.lr must be finite")
+            raise ScenarioError("optimizer.lr must be finite")
         if self.J < 0:
-            raise InvalidConfigError(f"optimizer.J must be >= 0, got {self.J}")
+            raise ScenarioError(f"optimizer.J must be >= 0, got {self.J}")
         if self.lr <= 0:
-            raise InvalidConfigError("optimizer.lr must be > 0")
+            raise ScenarioError("optimizer.lr must be > 0")
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def closed_form_oracle(preds: SegmentPredictions, t: int,
     """
     K = preds.num_segments
     if K < 3:
-        raise InvalidConfigError("oracle needs K >= 3 (an interior segment)")
+        raise ScenarioError("oracle needs K >= 3 (an interior segment)")
     quad = _QuadraticEnergy(preds, t, control_config, schedule, root_channel)
     hess = np.diag(2.0 * quad.q2[1:K - 1]) + quad.w_T * quad.phi_hess
     rhs = -(quad.q1[1:K - 1] + quad.w_T * quad.phi_grad0)

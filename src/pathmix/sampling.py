@@ -17,7 +17,7 @@ import numpy as np
 
 from .control import (ControlConfig, SegmentPredictions, control_energy,
                       heuristic_omega)
-from .errors import InvalidConfigError
+from .errors import ScenarioError
 from .mixtures import ConditionModel, predict_x0
 from .optim import OptimizerConfig, optimize_mixing
 from .schedules import ddim_step
@@ -39,17 +39,17 @@ class SegmentLayout:
 
     def __post_init__(self):
         if self.K < 2:
-            raise InvalidConfigError("layout.K: K must be >= 2")
+            raise ScenarioError("layout.K: K must be >= 2")
         if self.S < 2 or self.S % 2 != 0:
-            raise InvalidConfigError("layout.S: S must be even and >= 2")
+            raise ScenarioError("layout.S: S must be even and >= 2")
         if self.C < 1:
-            raise InvalidConfigError("layout.C: C must be >= 1")
+            raise ScenarioError("layout.C: C must be >= 1")
         if not 0 <= self.root_channel < self.C:
-            raise InvalidConfigError(
+            raise ScenarioError(
                 "layout.root_channel: root_channel out of range")
         size = (self.K - 1) * self.K * self.S * self.C
         if size > MAX_LAYOUT_VALUES:
-            raise InvalidConfigError(
+            raise ScenarioError(
                 f"layout.K, layout.S and layout.C give (K-1)*K*S*C = {size} "
                 f"values, more than the bound of {MAX_LAYOUT_VALUES}")
 

@@ -1,4 +1,4 @@
-"""Scenario configuration files and run persistence.
+"""Scenario files, the mixture of each domain spec, and run persistence.
 
 Scenarios are JSON; run artifacts are a JSON manifest plus CSV tables for the
 sampled tensors and traces.  All floats are serialized with 17 significant
@@ -20,12 +20,31 @@ import numpy as np
 
 from .control import ControlConfig
 from .errors import ScenarioError
-from .mixtures import (DOMAIN_DEFAULTS, ConditionModel, _known,
-                       _mixture_from_spec)
+from .mixtures import VARIANCE_FLOOR, ConditionModel, GaussianMixture
 from .optim import OptimizerConfig
 from .sampling import MAX_LAYOUT_VALUES, RunResult, SegmentLayout
 from .schedules import (NoiseSchedule, TimestepPlan, build_cosine_schedule,
                         select_ddim_timesteps)
+
+# The scenario's domains defaults: each condition's toy spec and the prior
+# p0.  The source puts two low-frequency sinusoid cycles per segment and the
+# target six, with equal variances DEFAULT_VARIANCE and distinct linear drifts
+# on the root channel so root alignment is non-trivial.  Whole cycle counts
+# over the half-segment overlap keep the sinusoids periodic across stitched
+# boundaries, so the stitch cost acts as a smoothness penalty rather than
+# favoring sign-flipped neighbors.
+DOMAIN_DEFAULTS = {"c0": {"kind": "toy", "cycles": 2.0, "root_drift": 0.5},
+                   "c1": {"kind": "toy", "cycles": 6.0, "root_drift": 1.5},
+                   "p0": 0.5}
+DEFAULT_VARIANCE = 0.05  # of a toy domain or a component entry
+
+# Largest |mean|, |root_drift| and component weight accepted at load;
+# variances up to its square.  The latent gradient Adam squares grows with
+# w_T times the square of the predictions' scale: at control.w_T's bound of
+# 1e100 a mean of 1e27 overflows the second moment, and at w_T = 1 one of
+# about 1e71 does, so this bound leaves seven orders of magnitude.  Weights
+# are normalized by their sum, which this bound keeps finite.
+MAX_DOMAIN_SCALE = 1e20
 
 DEFAULTS = {
     "layout": {"K": 4, "S": 16, "C": 4, "root_channel": 0},
@@ -96,6 +115,86 @@ class Scenario:
     @property
     def fingerprint(self) -> str:
         return hashlib.sha256(self.values.encode()).hexdigest()
+
+
+def _toy_mean(S: int, C: int, cycles: float, root_drift: float,
+              root_channel: int) -> np.ndarray:
+    """Sinusoidal channel trajectories plus a linear drift on the root channel."""
+    s = np.arange(S, dtype=np.float64)
+    mean = np.sin(2.0 * np.pi * cycles * s[:, None] / S
+                  + np.pi * np.arange(C) / C)
+    mean[:, root_channel] = root_drift * s / max(S - 1, 1)
+    return mean
+
+
+def _finite(spec: dict, key: str, where: str, default=None, shape=(),
+            least=-np.inf, most=np.inf):
+    """``spec[key]`` (or ``default``) as finite float64 in [least, most]
+    broadcast to ``shape``; otherwise a ScenarioError names where.key."""
+    value = spec.get(key, default)
+    try:
+        array = np.broadcast_to(np.asarray(value, dtype=np.float64), shape)
+    except (TypeError, ValueError, OverflowError):  # e.g. a 400-digit int
+        array = np.array(np.nan)
+    if isinstance(value, (bool, str)) or not np.all(np.isfinite(array)):
+        raise ScenarioError(
+            f"{where}.{key} must be a finite number (shape {shape})")
+    if np.any(array < least):
+        raise ScenarioError(f"{where}.{key} must be >= {least}")
+    if np.any(array > most):
+        raise ScenarioError(f"{where}.{key} must be <= {most:g}")
+    return array
+
+
+def _known(spec: dict, keys: set, where: str):
+    """A ScenarioError naming where.key for each key not in ``keys``."""
+    unknown = sorted(set(spec) - keys)
+    if unknown:
+        raise ScenarioError("unknown key(s): " + ", ".join(
+            f"{where}.{key}" for key in unknown))
+
+
+def _mixture_from_spec(spec: dict, S: int, C: int, root_channel: int,
+                       where: str) -> GaussianMixture:
+    """The mixture of one domain spec, a toy spec already merged over its
+    DOMAIN_DEFAULTS entry; a ScenarioError names where.key."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{where} must be an object, got {spec!r}")
+    kind = spec.get("kind")
+    if kind == "toy":
+        _known(spec, {"kind", "cycles", "root_drift", "variance"}, where)
+        mean = _toy_mean(S, C, _finite(spec, "cycles", where),
+                         _finite(spec, "root_drift", where,
+                                 least=-MAX_DOMAIN_SCALE,
+                                 most=MAX_DOMAIN_SCALE), root_channel)
+        var = _finite(spec, "variance", where, DEFAULT_VARIANCE, (),
+                      VARIANCE_FLOOR, MAX_DOMAIN_SCALE ** 2)
+        return GaussianMixture(np.array([1.0]), mean[None],
+                               np.full((1, S, C), var))
+    if kind == "components":
+        _known(spec, {"kind", "components"}, where)
+        comps = spec.get("components", [])
+        if not (isinstance(comps, list) and comps
+                and all(isinstance(c, dict) for c in comps)):
+            raise ScenarioError(
+                f"{where}.components must be a non-empty list of objects")
+        parts = [(c, f"{where}.components[{i}]") for i, c in enumerate(comps)]
+        for c, n in parts:
+            _known(c, {"weight", "mean", "variance"}, n)
+        weights = np.array([_finite(c, "weight", n, least=0,
+                                    most=MAX_DOMAIN_SCALE) for c, n in parts])
+        if not weights.sum() > 0:
+            raise ScenarioError(
+                f"{where} component weights must have a positive sum")
+        means = np.stack([_finite(c, "mean", n, None, (S, C),
+                                  least=-MAX_DOMAIN_SCALE,
+                                  most=MAX_DOMAIN_SCALE) for c, n in parts])
+        variances = np.stack([_finite(c, "variance", n, DEFAULT_VARIANCE,
+                                      (S, C), VARIANCE_FLOOR,
+                                      MAX_DOMAIN_SCALE ** 2)
+                              for c, n in parts])
+        return GaussianMixture(weights / weights.sum(), means, variances)
+    raise ScenarioError(f"{where}.kind: unknown domain kind {kind!r}")
 
 
 def _typed(name: str, value, kind: type):
@@ -203,6 +302,11 @@ def _write_csv(path: Path, header: list[str], rows):
         lines.append(",".join(str(c) if isinstance(c, (str, int, np.integer))
                               else _fmt(c) for c in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+# what write_run writes into a run directory
+RUN_FILES = ("segments.csv", "long_sequence.csv", "omega.csv", "energy.csv",
+             "manifest.json")
 
 
 def write_run(result: RunResult, out_dir) -> Path:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import ScenarioError
 
 COSINE_OFFSET = 0.008
 BETA_MIN = 1e-8
@@ -36,15 +36,15 @@ class NoiseSchedule:
     def __post_init__(self):
         T = self.total_steps
         if self.alpha_bar.shape != (T + 1,):
-            raise InvalidConfigError("alpha_bar must have length T+1")
+            raise ScenarioError("alpha_bar must have length T+1")
         if self.alpha_bar[0] != 1.0:
-            raise InvalidConfigError("alpha_bar[0] must be exactly 1")
+            raise ScenarioError("alpha_bar[0] must be exactly 1")
         if not np.all(np.diff(self.alpha_bar) < 0):
-            raise InvalidConfigError("alpha_bar must be strictly decreasing")
+            raise ScenarioError("alpha_bar must be strictly decreasing")
         if not (np.all(np.isfinite(self.alpha_bar))
                 and np.all(np.isfinite(self.beta))
                 and np.all(np.isfinite(self.posterior_var))):
-            raise InvalidConfigError("schedule tables must be finite")
+            raise ScenarioError("schedule tables must be finite")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class TimestepPlan:
     def __post_init__(self):
         s = self.steps
         if s[-1] != 0 or not np.all(np.diff(s) < 0):
-            raise InvalidConfigError("plan must decrease strictly to 0")
+            raise ScenarioError("plan must decrease strictly to 0")
 
     @property
     def num_steps(self) -> int:
@@ -73,7 +73,7 @@ def build_cosine_schedule(T: int) -> NoiseSchedule:
     which would make Tweedie inversion explode).
     """
     if not isinstance(T, (int, np.integer)) or T < 2:
-        raise InvalidConfigError(f"T must be an integer >= 2, got {T!r}")
+        raise ScenarioError(f"T must be an integer >= 2, got {T!r}")
     T = int(T)
     t = np.arange(T + 1, dtype=np.float64)
     f = np.cos(((t / T + COSINE_OFFSET) / (1.0 + COSINE_OFFSET)) * np.pi / 2.0) ** 2
@@ -104,7 +104,7 @@ def select_ddim_timesteps(schedule: NoiseSchedule, N: int) -> TimestepPlan:
     ``linspace`` returns both endpoints exactly, which round to T and 0."""
     T = schedule.total_steps
     if N < 1 or N > T:
-        raise InvalidConfigError(f"need 1 <= N <= T, got N={N}, T={T}")
+        raise ScenarioError(f"need 1 <= N <= T, got N={N}, T={T}")
     raw = np.linspace(T, 0.0, N + 1)
     steps = np.ceil(raw - 0.5).astype(np.int64)  # ties round toward smaller t
     return TimestepPlan(steps)

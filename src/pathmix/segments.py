@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import ScenarioError
 
 
 def _check_stack(segments: np.ndarray):
     if segments.ndim < 3:
         raise ValueError(f"expected (K, S, C) stack, got shape {segments.shape}")
     if segments.shape[-2] % 2 != 0:
-        raise InvalidConfigError("segment length S must be even")
+        raise ScenarioError("segment length S must be even")
 
 
 def hard_stitch_project(segments: np.ndarray) -> np.ndarray:
@@ -41,7 +41,7 @@ def align_root(segments: np.ndarray, root_channel: int = 0) -> np.ndarray:
     """
     _check_stack(segments)
     if not 0 <= root_channel < segments.shape[-1]:
-        raise InvalidConfigError(f"root channel {root_channel} out of range")
+        raise ScenarioError(f"root channel {root_channel} out of range")
     out = segments.copy()
     firsts = segments[..., 1:, 0, root_channel]
     lasts = segments[..., :-1, -1, root_channel]
@@ -73,6 +73,6 @@ def assemble_crossfade(segments: np.ndarray) -> np.ndarray:
 def slice_windows(sequence: np.ndarray, S: int, stride: int) -> list[np.ndarray]:
     """Fixed-length windows at offsets 0, stride, 2*stride, ...; tail dropped."""
     if S < 1 or stride < 1:
-        raise InvalidConfigError("S and stride must be positive")
+        raise ScenarioError("S and stride must be positive")
     return [sequence[o:o + S].copy()
             for o in range(0, len(sequence) - S + 1, stride)]

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pathmix import (Condition, ConditionModel, InvalidConfigError,
-                     NoiseSchedule, OptimizerConfig, TimestepPlan, ddim_step,
+from pathmix import (Condition, ConditionModel, NoiseSchedule,
+                     OptimizerConfig, ScenarioError, TimestepPlan, ddim_step,
                      predict_x0, scenario_from_dict)
 from pathmix.mixtures import logsumexp
 from pathmix.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -110,7 +110,7 @@ def domain_log_likelihood(model: ConditionModel, clip: np.ndarray,
 def clip_kinetic_features(clip: np.ndarray) -> np.ndarray:
     """Per-channel RMS first and second finite differences, length 2C."""
     if len(clip) < 3:
-        raise InvalidConfigError("kinetic features need at least 3 frames")
+        raise ScenarioError("kinetic features need at least 3 frames")
     vel = np.diff(clip, axis=0)
     acc = np.diff(clip, n=2, axis=0)
     rms = lambda d: np.sqrt(np.mean(d ** 2, axis=0))
@@ -122,7 +122,7 @@ def clip_geometric_features(clip: np.ndarray) -> np.ndarray:
     differences, length C + C(C-1)/2."""
     C = clip.shape[1]
     if C < 2:
-        raise InvalidConfigError("geometric features need at least 2 channels")
+        raise ScenarioError("geometric features need at least 2 channels")
     means = clip.mean(axis=0)
     pair = [np.mean(np.abs(clip[:, i] - clip[:, j]))
             for i in range(C) for j in range(i + 1, C)]

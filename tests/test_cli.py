@@ -397,6 +397,41 @@ def test_out_under_a_file_exits_2_before_sampling(tmp_path, capsys,
     assert (tmp_path / "file").read_text() == ""
 
 
+# a directory where the command writes a file, or a file or a dangling
+# link where it makes a run directory
+WRONG_KIND = [
+    *((["generate"], name, "dir") for name in (
+        "segments.csv", "long_sequence.csv", "omega.csv", "energy.csv",
+        "manifest.json")),
+    (["evaluate", "--runs", "1"], "metrics.json", "dir"),
+    (["compare", "--runs", "1"], "comparison.csv", "dir"),
+    (["sweep", "--sweep", "w_T=0.5,1"], "w_T_1", "file"),
+    (["sweep", "--sweep", "w_T=0.5,1"], "w_T_0.5", "link"),
+    (["sweep", "--sweep", "w_T=0.5,1"], "w_T_1/omega.csv", "dir"),
+    (["sweep", "--sweep", "w_T=0.5,1"], "summary.csv", "dir"),
+]
+
+
+@pytest.mark.parametrize("argv,path,kind", WRONG_KIND,
+                         ids=[f"{argv[0]}-{path}" for argv, path, _ in
+                              WRONG_KIND])
+def test_out_path_of_the_wrong_kind_exits_2_before_sampling(
+        tmp_path, capsys, no_sampling, argv, path, kind):
+    out = tmp_path / "out"
+    (out / path).parent.mkdir(parents=True)
+    if kind == "dir":
+        (out / path).mkdir()
+    elif kind == "file":
+        (out / path).write_text("")
+    else:
+        (out / path).symlink_to(tmp_path / "nowhere")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and f"{out / path} is" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestCheck:
     def test_all_checks_pass(self, capsys):
         assert run_check() == 0

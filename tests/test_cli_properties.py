@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from pathmix.cli import SWEEP_KEYS, main
 from pathmix.control import MAX_TERMINAL_WEIGHT
-from pathmix.mixtures import MAX_DOMAIN_SCALE
+from pathmix.scenario import MAX_DOMAIN_SCALE
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None,
                    database=None)

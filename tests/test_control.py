@@ -3,7 +3,7 @@ import pytest
 
 from models import random_preds
 from oracles import mix_predictions
-from pathmix import (ControlConfig, InvalidConfigError, SegmentPredictions,
+from pathmix import (ControlConfig, ScenarioError, SegmentPredictions,
                      control_energy, eps_of_x0, guidance_delta,
                      heuristic_omega, lambda_weight, reverse_kl_check,
                      stitch_cost)
@@ -90,7 +90,7 @@ class TestLambdaWeight:
             assert abs(approx - kl) / abs(kl) <= 1e-10
 
     def test_unknown_mode_rejected(self, schedule):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             lambda_weight(5, schedule, "bogus")
 
 
@@ -132,7 +132,7 @@ class TestStitchCost:
         assert stitch_cost(rng.normal(size=(1, 16, 4))) == 0.0
 
     def test_odd_length_rejected(self, rng):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             stitch_cost(rng.normal(size=(3, 15, 4)))
 
 
@@ -175,7 +175,7 @@ class TestHeuristicOmega:
             assert omega[0] == 0.0 and omega[-1] == 1.0
 
     def test_too_few_segments_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             heuristic_omega("linear", 1, 10.0)
 
 

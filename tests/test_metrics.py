@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from models import scenario_model
-from pathmix import (Condition, FeatureStats, InvalidConfigError, diversity,
+from pathmix import (Condition, FeatureStats, ScenarioError, diversity,
                      dynamics_stats, evaluate, frechet_distance,
                      geometric_features, kinetic_features, sample_clips,
                      standardize)
@@ -28,7 +28,7 @@ class TestKineticFeatures:
     @pytest.mark.parametrize("shape", [(2, 4), (5, 2, 4)],
                              ids=["clip", "batch"])
     def test_too_short_rejected(self, shape):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             kinetic_features(np.zeros(shape))
 
 
@@ -47,7 +47,7 @@ class TestGeometricFeatures:
     @pytest.mark.parametrize("shape", [(16, 1), (5, 16, 1)],
                              ids=["clip", "batch"])
     def test_single_channel_rejected(self, shape):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             geometric_features(np.zeros(shape))
 
 
@@ -134,7 +134,7 @@ class TestDiversity:
         assert diversity(feats, 200, 9) == diversity(feats, 200, 9)
 
     def test_needs_two_points(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             diversity(np.ones((1, 3)), 10, 0)
 
 
@@ -206,5 +206,5 @@ class TestEvaluate:
         assert abs(report.div_kinetic - direct) < 1e-12
 
     def test_empty_sets_rejected(self, rng):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             evaluate(np.zeros((0, 16, 4)), np.zeros((5, 16, 4)), 10, 0)

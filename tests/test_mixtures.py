@@ -5,8 +5,7 @@ from scipy.special import logsumexp
 from models import scenario_model
 from oracles import domain_log_likelihood, marginal_log_density
 from pathmix import (Condition, ConditionModel, GaussianMixture,
-                     InvalidConfigError, ScenarioError, eps_of_x0, predict_x0,
-                     sample_clips)
+                     ScenarioError, eps_of_x0, predict_x0, sample_clips)
 
 
 def single_gaussian_model(S=4, C=2, mean=0.0, variance=1.0):
@@ -48,7 +47,7 @@ class TestConstruction:
             scenario_model(S=4, C=2, root_channel=root)
 
     def test_small_variance_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             GaussianMixture(np.array([1.0]), np.zeros((1, 4, 2)),
                             np.full((1, 4, 2), 1e-9))
 

@@ -3,8 +3,8 @@ import pytest
 
 from models import interior_instance, random_preds
 from oracles import AdamState, adam_update
-from pathmix import (ControlConfig, InvalidConfigError, NumericError,
-                     OptimizerConfig, SegmentPredictions, closed_form_oracle,
+from pathmix import (ControlConfig, NumericError, OptimizerConfig,
+                     ScenarioError, SegmentPredictions, closed_form_oracle,
                      control_energy, energy_gradient, optimize_mixing)
 from pathmix.optim import omega_of_latent, sigmoid
 
@@ -198,7 +198,7 @@ class TestOptimizeMixing:
 class TestClosedFormOracle:
     def test_requires_interior_segment(self, schedule, rng):
         preds = random_preds(rng, K=2)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             closed_form_oracle(preds, 100, ControlConfig(), schedule)
 
     def test_decoupled_case_matches_grid_search(self, schedule, rng):

@@ -3,7 +3,7 @@ import pytest
 
 from models import scenario_model
 from oracles import affine_run, conditional_ddim_sample
-from pathmix import (Condition, InvalidConfigError, SegmentLayout,
+from pathmix import (Condition, ScenarioError, SegmentLayout,
                      baseline_sample, initial_segment_noise, optimized_sample,
                      scenario_from_dict)
 from pathmix.sampling import MAX_LAYOUT_VALUES
@@ -27,17 +27,17 @@ def fast_run(fast_scenario):
 
 class TestLayout:
     def test_validation(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             SegmentLayout(1, 16, 4)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             SegmentLayout(4, 15, 4)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             SegmentLayout(4, 16, 4, root_channel=4)
 
     def test_size_bound(self):
         # (K-1)*K*S*C is even, so 4 past the bound is the nearest step past it
         SegmentLayout(2, MAX_LAYOUT_VALUES // 2, 1)
-        with pytest.raises(InvalidConfigError,
+        with pytest.raises(ScenarioError,
                            match=r"layout\.K, layout\.S and layout\.C"):
             SegmentLayout(2, MAX_LAYOUT_VALUES // 2 + 2, 1)
 
@@ -111,7 +111,7 @@ class TestBaselineRun:
         np.testing.assert_array_equal(noise, initial_segment_noise(layout, 5))
 
     def test_unknown_kind_rejected(self, fast_scenario):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             baseline_sample(fast_scenario, "cubic", seed=0)
 
     def test_baseline_stitch_invariant(self, fast_scenario):

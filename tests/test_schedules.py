@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pathmix import (InvalidConfigError, build_cosine_schedule, ddim_step,
+from pathmix import (ScenarioError, build_cosine_schedule, ddim_step,
                      eps_of_x0, forward_diffuse, select_ddim_timesteps,
                      tweedie_x0)
 from pathmix.schedules import ALPHA_BAR_FLOOR, BETA_MAX, BETA_MIN, COSINE_OFFSET
@@ -45,7 +45,7 @@ class TestCosineSchedule:
         np.testing.assert_allclose(schedule.posterior_var[t], expect, rtol=0)
 
     def test_small_t_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             build_cosine_schedule(1)
 
 
@@ -79,7 +79,7 @@ class TestTimestepPlan:
 
     def test_n_larger_than_t_rejected(self):
         sch = build_cosine_schedule(10)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             select_ddim_timesteps(sch, 11)
 
 

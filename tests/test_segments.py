@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pathmix import (InvalidConfigError, align_root, assemble_crossfade,
+from pathmix import (ScenarioError, align_root, assemble_crossfade,
                      hard_stitch_project, slice_windows)
 
 
@@ -36,7 +36,7 @@ class TestHardStitchProject:
         assert out[2, 0, 0] == out[1, 1, 0]
 
     def test_odd_length_rejected(self, rng):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             hard_stitch_project(rng.normal(size=(2, 15, 4)))
 
 
@@ -69,7 +69,7 @@ class TestAlignRoot:
         np.testing.assert_allclose(out[2, :, 0], [2.0, 3.0])
 
     def test_bad_channel_rejected(self, rng):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             align_root(rng.normal(size=(2, 4, 2)), 5)
 
 
@@ -113,5 +113,5 @@ class TestSliceWindows:
             np.testing.assert_array_equal(w, seq[8 * i:8 * i + 16])
 
     def test_invalid_stride_rejected(self, rng):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ScenarioError):
             slice_windows(rng.normal(size=(32, 4)), 16, 0)

@@ -13,6 +13,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # whose own tests are left out
 CALLERS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")])
 ORACLES = ROOT / "tests" / "oracles.py"
+ERROR_TYPES = {"ScenarioError", "NumericError", "ValueError"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,6 +46,21 @@ def private_imports(source: str) -> list[str]:
                      and any(part.startswith("_")
                              for part in name.split(".")))
     return sorted(found)
+
+
+def raised_names(source: str) -> list[str]:
+    """The name each ``raise`` statement of a module raises, in source
+    order: the class called or the name raised, "" for a bare ``raise``."""
+    raises = sorted((node for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.Raise)),
+                    key=lambda node: (node.lineno, node.col_offset))
+    names = []
+    for exc in (node.exc for node in raises):
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        names.append(exc.attr if isinstance(exc, ast.Attribute)
+                     else exc.id if isinstance(exc, ast.Name) else "")
+    return names
 
 
 def names_read(nodes) -> set[str]:
@@ -101,6 +117,16 @@ def test_scan_finds_private_imports():
                                        "pathmix.optim._interior_basis"]
 
 
+def test_scan_finds_raised_names():
+    source = ("def f(x):\n"
+              "    if x:\n        raise ValueError('x')\n"
+              "    try:\n        g()\n    except KeyError:\n        raise\n"
+              "    raise errors.NumericError('y') from None\n"
+              "def g(exc):\n    raise TypeError; raise exc\n")
+    assert raised_names(source) == ["ValueError", "", "NumericError",
+                                    "TypeError", "exc"]
+
+
 def test_scan_finds_unreferenced_definitions():
     library = ['"""``dead`` is named here, which is not a call."""\n'
                "from math import pi\n"
@@ -128,6 +154,20 @@ def test_library_modules_found():
 def test_oracles_import_no_private_name():
     # an oracle that reuses the library's private code checks nothing
     assert private_imports(ORACLES.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_raise_names_a_package_error_or_value_error(path):
+    # a bad configuration value exits 2, a non-finite one 1, and any other
+    # bad argument is a plain ValueError
+    assert set(raised_names(path.read_text())) <= ERROR_TYPES
+
+
+def test_errors_define_one_type_per_exit_code():
+    tree = ast.parse((SRC / "errors.py").read_text())
+    assert sorted(node.name for node in tree.body
+                  if isinstance(node, ast.ClassDef)) == ["NumericError",
+                                                         "ScenarioError"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
