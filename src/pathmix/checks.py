@@ -14,7 +14,7 @@ import numpy as np
 
 from .control import (ControlConfig, SegmentPredictions, control_energy,
                       guidance_delta, lambda_weight, reverse_kl_check)
-from .metrics import FeatureStats, frechet_distance, _psd_sqrt
+from .metrics import FeatureStats, frechet_distance, psd_sqrt
 from .optim import (OptimizerConfig, closed_form_oracle, energy_gradient,
                     omega_of_latent, optimize_mixing)
 from .schedules import (build_cosine_schedule, eps_of_x0, forward_diffuse,
@@ -159,7 +159,7 @@ def check_frechet_closed_form() -> CheckResult:
     for dim in (3, 8, 20):
         m = rng.normal(size=(dim, dim))
         cov = m @ m.T + 0.1 * np.eye(dim)
-        root = _psd_sqrt(cov)
+        root = psd_sqrt(cov)
         rel = (np.linalg.norm(root @ root - cov, "fro")
                / np.linalg.norm(cov, "fro"))
         err = max(err, float(rel))

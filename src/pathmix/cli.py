@@ -21,9 +21,9 @@ from .errors import NumericError, ScenarioError
 from .metrics import evaluate
 from .mixtures import Condition, sample_clips
 from .sampling import baseline_sample, optimized_sample
-from .scenario import (METHOD_ORDER, RUN_FILES, Scenario, _write_csv,
+from .scenario import (METHOD_ORDER, RUN_FILES, Scenario,
                        export_comparison_table, load_scenario,
-                       scenario_from_dict, write_run)
+                       scenario_from_dict, write_csv, write_run)
 from .segments import slice_windows
 
 
@@ -199,7 +199,7 @@ def cmd_sweep(args) -> int:
         max_energy = max(e.total for e in result.energy_trace)
         final_energy = result.energy_trace[-1].total
         rows.append((value, max_energy, final_energy))
-    _write_csv(out / "summary.csv", [key, "max_energy", "final_energy"], rows)
+    write_csv(out / "summary.csv", [key, "max_energy", "final_energy"], rows)
     print(f"wrote {out / 'summary.csv'} ({len(values)} runs)")
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .schedules import NoiseSchedule, eps_of_x0
-from .segments import _check_stack, align_root
+from .segments import align_root, check_stack
 
 POSTERIOR_VAR_FLOOR = 1e-12
 
@@ -75,7 +75,7 @@ class SegmentPredictions:
     def __post_init__(self):
         if not (self.source.shape == self.target.shape == self.uncond.shape):
             raise ValueError("prediction stacks must share a shape")
-        _check_stack(self.source)
+        check_stack(self.source)
 
     @property
     def num_segments(self) -> int:
@@ -144,7 +144,7 @@ def reverse_kl_check(eps_a: np.ndarray, eps_b: np.ndarray, t: int,
 def stitch_cost(x0hat_segments: np.ndarray) -> np.ndarray:
     """Squared L2 distance between overlapping halves of adjacent segments,
     one per stack: a scalar for (K, S, C), an array for (..., K, S, C)."""
-    _check_stack(x0hat_segments)
+    check_stack(x0hat_segments)
     half = x0hat_segments.shape[-2] // 2
     diff = (x0hat_segments[..., 1:, :half, :]
             - x0hat_segments[..., :-1, half:, :])
@@ -218,7 +218,7 @@ def transient_coefficients(preds: SegmentPredictions, t: int,
 
 
 def stitch_cost_aligned_gradient(aligned: np.ndarray, directions: np.ndarray,
-                                 root_channel: int = 0) -> np.ndarray:
+                                 root_channel: int) -> np.ndarray:
     """Gradient of stitch_cost(align_root(mixed)) with respect to omega, from
     the root-aligned stack ``aligned = align_root(mixed, root_channel)``.
 

@@ -27,7 +27,6 @@ class FeatureStats:
 
     @classmethod
     def from_features(cls, features: np.ndarray) -> "FeatureStats":
-        features = np.atleast_2d(features)
         if len(features) < 2:
             raise ScenarioError("need at least 2 feature vectors")
         mean = features.mean(axis=0)
@@ -52,7 +51,6 @@ class EvalReport:
 
 def kinetic_features(clips: np.ndarray) -> np.ndarray:
     """Per-channel RMS first and second finite differences, length 2C."""
-    clips = np.asarray(clips)
     if clips.shape[-2] < 3:
         raise ScenarioError("kinetic features need at least 3 frames")
     vel = np.diff(clips, axis=-2)
@@ -64,7 +62,6 @@ def kinetic_features(clips: np.ndarray) -> np.ndarray:
 def geometric_features(clips: np.ndarray) -> np.ndarray:
     """Per-channel temporal means plus mean absolute pairwise channel
     differences over pairs i < j, length C + C(C-1)/2 per clip."""
-    clips = np.asarray(clips)
     C = clips.shape[-1]
     if C < 2:
         raise ScenarioError("geometric features need at least 2 channels")
@@ -79,7 +76,7 @@ def standardize(features: np.ndarray, gt_mean: np.ndarray,
     return (features - gt_mean) / np.maximum(gt_std, STD_FLOOR)
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
     if vals.min() < -PSD_TOL * max(vals.max(), 1.0):
         raise ValueError(f"matrix not PSD: min eigenvalue {vals.min():g}")
@@ -89,12 +86,10 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def frechet_distance(a: FeatureStats, b: FeatureStats) -> float:
     """||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a^1/2 S_b S_a^1/2)^1/2)."""
-    if a.mean.shape != b.mean.shape:
-        raise ValueError("feature dimensions differ")
     # Tr((S_a^1/2 S_b S_a^1/2)^1/2) equals the nuclear norm of
     # S_a^1/2 S_b^1/2; singular values are nonnegative by construction, which
     # avoids the sign noise of eigendecomposing the near-singular product.
-    cross = np.linalg.svd(_psd_sqrt(a.cov) @ _psd_sqrt(b.cov),
+    cross = np.linalg.svd(psd_sqrt(a.cov) @ psd_sqrt(b.cov),
                           compute_uv=False)
     fd = (np.sum((a.mean - b.mean) ** 2) + np.trace(a.cov) + np.trace(b.cov)
           - 2.0 * np.sum(cross))
@@ -105,7 +100,6 @@ def frechet_distance(a: FeatureStats, b: FeatureStats) -> float:
 
 def diversity(features: np.ndarray, n_pairs: int, rng_seed: int) -> float:
     """Mean Euclidean distance over randomly sampled distinct index pairs."""
-    features = np.atleast_2d(features)
     if len(features) < 2:
         raise ScenarioError("diversity needs at least 2 feature vectors")
     if n_pairs < 1:
@@ -120,7 +114,6 @@ def diversity(features: np.ndarray, n_pairs: int, rng_seed: int) -> float:
 
 def dynamics_stats(clips: np.ndarray) -> tuple[float, float, float, float]:
     """Pooled acceleration/jerk magnitude statistics over all clips."""
-    clips = np.asarray(clips)
     if clips.shape[-2] < 4:
         raise ScenarioError("dynamics stats need at least 4 frames")
     accel = np.abs(np.diff(clips, n=2, axis=-2)).ravel()
@@ -133,8 +126,6 @@ def evaluate(gen_clips, gt_clips, n_pairs: int, rng_seed: int) -> EvalReport:
     """Full metric suite for a generated clip set against ground truth."""
     gen_clips = np.asarray(gen_clips)
     gt_clips = np.asarray(gt_clips)
-    if len(gen_clips) == 0 or len(gt_clips) == 0:
-        raise ScenarioError("both clip sets must be non-empty")
 
     report = {}
     for name, extractor in (("kinetic", kinetic_features),

@@ -38,10 +38,10 @@ DOMAIN_DEFAULTS = {"c0": {"kind": "toy", "cycles": 2.0, "root_drift": 0.5},
                    "p0": 0.5}
 DEFAULT_VARIANCE = 0.05  # of a toy domain or a component entry
 
-# Largest |mean|, |root_drift| and component weight accepted at load;
-# variances up to its square.  The latent gradient Adam squares grows with
-# w_T times the square of the predictions' scale: at control.w_T's bound of
-# 1e100 a mean of 1e27 overflows the second moment, and at w_T = 1 one of
+# Largest |mean|, |cycles|, |root_drift| and component weight accepted at
+# load; variances up to its square.  The latent gradient Adam squares grows
+# with w_T times the square of the predictions' scale: at control.w_T's bound
+# of 1e100 a mean of 1e27 overflows the second moment, and at w_T = 1 one of
 # about 1e71 does, so this bound leaves seven orders of magnitude.  Weights
 # are normalized by their sum, which this bound keeps finite.
 MAX_DOMAIN_SCALE = 1e20
@@ -123,7 +123,7 @@ def _toy_mean(S: int, C: int, cycles: float, root_drift: float,
     s = np.arange(S, dtype=np.float64)
     mean = np.sin(2.0 * np.pi * cycles * s[:, None] / S
                   + np.pi * np.arange(C) / C)
-    mean[:, root_channel] = root_drift * s / max(S - 1, 1)
+    mean[:, root_channel] = root_drift * s / (S - 1)
     return mean
 
 
@@ -163,10 +163,10 @@ def _mixture_from_spec(spec: dict, S: int, C: int, root_channel: int,
     kind = spec.get("kind")
     if kind == "toy":
         _known(spec, {"kind", "cycles", "root_drift", "variance"}, where)
-        mean = _toy_mean(S, C, _finite(spec, "cycles", where),
-                         _finite(spec, "root_drift", where,
-                                 least=-MAX_DOMAIN_SCALE,
-                                 most=MAX_DOMAIN_SCALE), root_channel)
+        cycles, drift = (_finite(spec, key, where, least=-MAX_DOMAIN_SCALE,
+                                 most=MAX_DOMAIN_SCALE)
+                         for key in ("cycles", "root_drift"))
+        mean = _toy_mean(S, C, cycles, drift, root_channel)
         var = _finite(spec, "variance", where, DEFAULT_VARIANCE, (),
                       VARIANCE_FLOOR, MAX_DOMAIN_SCALE ** 2)
         return GaussianMixture(np.array([1.0]), mean[None],
@@ -296,7 +296,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows):
+def write_csv(path: Path, header: list[str], rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(c) if isinstance(c, (str, int, np.integer))
@@ -316,18 +316,18 @@ def write_run(result: RunResult, out_dir) -> Path:
 
     K, S, C = result.final_segments.shape
     chan_cols = [f"c{j}" for j in range(C)]
-    _write_csv(out / "segments.csv", ["segment", "frame"] + chan_cols,
-               ((k, s, *result.final_segments[k, s])
-                for k in range(K) for s in range(S)))
-    _write_csv(out / "long_sequence.csv", ["frame"] + chan_cols,
-               ((i, *row) for i, row in enumerate(result.long_sequence)))
+    write_csv(out / "segments.csv", ["segment", "frame"] + chan_cols,
+              ((k, s, *result.final_segments[k, s])
+               for k in range(K) for s in range(S)))
+    write_csv(out / "long_sequence.csv", ["frame"] + chan_cols,
+              ((i, *row) for i, row in enumerate(result.long_sequence)))
     N = len(result.omega_grid)
-    _write_csv(out / "omega.csv",
-               ["step"] + [f"omega_{k}" for k in range(K)],
-               ((n, *result.omega_grid[n]) for n in range(N)))
-    _write_csv(out / "energy.csv", ["step", "transient", "terminal", "total"],
-               ((n, e.transient, e.terminal, e.total)
-                for n, e in enumerate(result.energy_trace)))
+    write_csv(out / "omega.csv",
+              ["step"] + [f"omega_{k}" for k in range(K)],
+              ((n, *result.omega_grid[n]) for n in range(N)))
+    write_csv(out / "energy.csv", ["step", "transient", "terminal", "total"],
+              ((n, e.transient, e.terminal, e.total)
+               for n, e in enumerate(result.energy_trace)))
 
     manifest = {
         "seed": result.seed,
@@ -349,6 +349,6 @@ def export_comparison_table(reports: dict, path) -> Path:
     order = [m for m in METHOD_ORDER if m in reports]
     order += sorted(set(reports) - set(order))
     header = [f.name for f in fields(reports[order[0]])]
-    _write_csv(path, ["method"] + header,
-               ((method, *astuple(reports[method])) for method in order))
+    write_csv(path, ["method"] + header,
+              ((method, *astuple(reports[method])) for method in order))
     return path

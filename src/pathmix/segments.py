@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ScenarioError
 
 
-def _check_stack(segments: np.ndarray):
+def check_stack(segments: np.ndarray):
     if segments.ndim < 3:
         raise ValueError(f"expected (K, S, C) stack, got shape {segments.shape}")
     if segments.shape[-2] % 2 != 0:
@@ -24,7 +24,7 @@ def hard_stitch_project(segments: np.ndarray) -> np.ndarray:
 
     Exact projection onto the continuity constraint; idempotent.
     """
-    _check_stack(segments)
+    check_stack(segments)
     out = segments.copy()
     half = segments.shape[-2] // 2
     out[..., 1:, :half, :] = segments[..., :-1, half:, :]
@@ -39,7 +39,7 @@ def align_root(segments: np.ndarray, root_channel: int = 0) -> np.ndarray:
     untouched.  The shifts are every other partial sum of one accumulation
     over [last_0, -first_1, last_1, ...]: the loop's, since x + -y is x - y.
     """
-    _check_stack(segments)
+    check_stack(segments)
     if not 0 <= root_channel < segments.shape[-1]:
         raise ScenarioError(f"root channel {root_channel} out of range")
     out = segments.copy()
@@ -59,7 +59,7 @@ def assemble_crossfade(segments: np.ndarray) -> np.ndarray:
     gets weight j / (S/2) and the outgoing one the complement; if the overlaps
     already agree the blend is an exact copy.
     """
-    _check_stack(segments)
+    check_stack(segments)
     S, C = segments.shape[-2:]
     half = S // 2
     ramp = (np.arange(half, dtype=np.float64) / half)[:, None]

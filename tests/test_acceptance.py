@@ -24,7 +24,7 @@ from pathmix import (Condition, ControlConfig, OptimizerConfig, FeatureStats,
                      scenario_from_dict, select_ddim_timesteps, slice_windows,
                      tweedie_x0)
 from pathmix.cli import main
-from pathmix.metrics import _psd_sqrt
+from pathmix.metrics import psd_sqrt
 from pathmix.optim import omega_of_latent
 
 
@@ -282,7 +282,7 @@ def test_criterion_9_metric_suite():
     for dim in (5, 12, 20):
         m = rng.normal(size=(dim, dim))
         cov = m @ m.T + 0.05 * np.eye(dim)
-        root = _psd_sqrt(cov)
+        root = psd_sqrt(cov)
         sqrt_err = max(sqrt_err, float(np.linalg.norm(root @ root - cov, "fro")
                                        / np.linalg.norm(cov, "fro")))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import pathmix.checks
+from pathmix import NumericError
 from pathmix.checks import check_kl_proportionality, run_check
 from pathmix.cli import main
 from pathmix.sampling import baseline_sample
@@ -338,6 +340,14 @@ class TestSweep:
                      "--sweep", "banana=1,2", "--out", str(tmp_path / "s")])
         assert code == 2
 
+    def test_key_without_values_exits_2(self, fast_scenario_path, tmp_path,
+                                        capsys):
+        code = main(["sweep", "--scenario", str(fast_scenario_path),
+                     "--sweep", "w_T", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sweep must look like KEY=V1,V2,...\n")
+
     def test_empty_value_exits_2(self, fast_scenario_path, tmp_path, capsys):
         code = main(["sweep", "--scenario", str(fast_scenario_path),
                      "--sweep", "w_T=", "--out", str(tmp_path / "s")])
@@ -432,6 +442,17 @@ def test_out_path_of_the_wrong_kind_exits_2_before_sampling(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_numeric_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # the library raises NumericError on non-finite math; no scenario within
+    # the load-time bounds is known to reach it, so a sampler stands in
+    def overflow(*args):
+        raise NumericError("non-finite energy at t=1, inner step 0")
+    monkeypatch.setattr("pathmix.cli.optimized_sample", overflow)
+    assert main(["generate", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "numeric failure: non-finite energy at t=1, inner step 0\n")
+
+
 class TestCheck:
     def test_all_checks_pass(self, capsys):
         assert run_check() == 0
@@ -449,3 +470,98 @@ class TestCheck:
 
     def test_cli_entry(self):
         assert main(["check"]) == 0
+
+    # (function, name, error, threshold) of every check, recorded with
+    # numpy 2.4.6 on x86-64; a different libm or LAPACK may move the last
+    # digits of an error.  The checks take no input, so these results and
+    # the lines printed of them are all that a change to one can alter.
+    RESULTS = [
+        ("schedule_identity", "schedule-identity", 0.0, 1e-12),
+        ("tweedie_roundtrip", "tweedie-roundtrip", 2.4980018054066022e-14,
+         1e-12),
+        ("kl_proportionality", "kl-proportionality", 5.016564543803669e-16,
+         1e-10),
+        ("gradient_fd", "gradient-finite-difference", 2.8612052316132153e-08,
+         1e-05),
+        ("oracle_convergence", "oracle-convergence", 0.0, 1e-06),
+        ("stitch_idempotence", "stitch-idempotence", 0.0, 0.0),
+        ("frechet_closed_form", "frechet-closed-form", 8.881784197001252e-15,
+         1e-08),
+        ("energy_additivity", "energy-additivity", 0.0, 1e-12),
+    ]
+
+    @pytest.mark.parametrize("function,name,error,threshold", RESULTS,
+                             ids=[r[0] for r in RESULTS])
+    def test_result_recorded(self, function, name, error, threshold):
+        result = getattr(pathmix.checks, f"check_{function}")()
+        assert (result.name, result.passed, result.error,
+                result.threshold) == (name, True, error, threshold)
+
+    def test_output_recorded(self, capsys):
+        assert run_check() == 0
+        assert capsys.readouterr().out == "".join(
+            f"[PASS] {name}: error {error:.3e} (threshold {threshold:.1e})\n"
+            for _, name, error, threshold in self.RESULTS
+        ) + "8/8 checks passed\n"
+
+
+class TestRecordedOutputs:
+    """What each command writes and prints on the fast scenario: each file
+    as the first 16 hex digits of its SHA-256, recorded with numpy 2.4.6 on
+    x86-64 (a different libm or BLAS may move the last digits of a value).
+    Criterion 10 compares two runs of one tree; these compare with the
+    recording, so that a change to any value a command writes shows."""
+
+    COMMANDS = {
+        "generate-mdpa": (["generate"], "wrote run artifacts to {out}", {
+            "segments.csv": "ca83de129a7051e8",
+            "long_sequence.csv": "5eb81115d3e45f15",
+            "omega.csv": "384aaa12e367f672",
+            "energy.csv": "e9501a62eaebd267"}),
+        "generate-sine": (["generate", "--method", "sine"],
+                          "wrote run artifacts to {out}", {
+            "segments.csv": "d847104c981c50a4",
+            "energy.csv": "a839749caaff18e6"}),
+        "generate-sigmoid": (["generate", "--method", "sigmoid"],
+                             "wrote run artifacts to {out}", {
+            "segments.csv": "61280db77c9b5c0d",
+            "energy.csv": "60b4baa7f2cb3066"}),
+        "generate-linear": (["generate", "--method", "linear"],
+                            "wrote run artifacts to {out}", {
+            "segments.csv": "4d1d4af07809dfc8",
+            "energy.csv": "e460860dbee4055d"}),
+        "evaluate": (["evaluate"], "mdpa: fid_kinetic {fid_kinetic:.4f}, "
+                     "fid_geometric {fid_geometric:.4f}", {
+            "metrics.json": "73a82f6c1f0e2599"}),
+        "compare": (["compare", "--runs", "2"], "wrote {out}/comparison.csv",
+                    {"comparison.csv": "f4f46fabfd5a1d9f"}),
+        "sweep": (["sweep", "--sweep", "w_T=0.5,2"],
+                  "wrote {out}/summary.csv (2 runs)", {
+            "summary.csv": "0de724d5a6cf0d14",
+            "w_T_2/omega.csv": "ae4fea6648c1c878"}),
+    }
+
+    @pytest.mark.parametrize("label", COMMANDS)
+    def test_files_and_line_recorded(self, fast_scenario_path, tmp_path,
+                                     capsys, label):
+        argv, line, files = self.COMMANDS[label]
+        assert main([*argv, "--scenario", str(fast_scenario_path),
+                     "--out", str(tmp_path)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes())
+                .hexdigest()[:16] for name in files} == files
+        values = (json.loads((tmp_path / "metrics.json").read_text())
+                  if label == "evaluate" else {})
+        assert capsys.readouterr().out == line.format(out=tmp_path,
+                                                      **values) + "\n"
+
+    def test_manifest_recorded(self, fast_scenario_path, tmp_path):
+        assert main(["generate", "--scenario", str(fast_scenario_path),
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "manifest.json").read_text()
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2) + "\n"
+        assert sorted(manifest) == ["created_at", "fingerprint", "seed",
+                                    "wall_time"]
+        assert (manifest["seed"], manifest["fingerprint"][:16]) == (
+            3, "0895f4319ea559aa")
+        assert manifest["wall_time"] > 0

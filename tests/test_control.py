@@ -37,6 +37,15 @@ class TestMixPredictions:
         np.testing.assert_allclose(two_segments(a, b).mixed(np.full(2, 0.5)),
                                    np.stack([(a + b) / 2] * 2))
 
+    @pytest.mark.parametrize("shapes,error", [
+        (((2, 16, 4), (2, 16, 4), (3, 16, 4)), ValueError),
+        (((16, 4),) * 3, ValueError),
+        (((2, 15, 4),) * 3, ScenarioError)],
+        ids=["shapes-differ", "no-segment-axis", "odd-length"])
+    def test_bad_stacks_rejected(self, shapes, error):
+        with pytest.raises(error):
+            SegmentPredictions(*(np.zeros(shape) for shape in shapes))
+
 
 class TestGuidanceDelta:
     def test_zero_when_predictions_agree(self, schedule, rng):
@@ -93,8 +102,24 @@ class TestLambdaWeight:
         with pytest.raises(ScenarioError):
             lambda_weight(5, schedule, "bogus")
 
+    @pytest.mark.parametrize("mode", ["posterior", "unit"])
+    def test_t_zero_rejected(self, schedule, mode):
+        with pytest.raises(ValueError, match="t=0"):
+            lambda_weight(0, schedule, mode)
+
 
 class TestReverseKlCheck:
+    def test_t_zero_rejected(self, schedule, rng):
+        e = rng.normal(size=(16, 4))
+        with pytest.raises(ValueError, match="t=0"):
+            reverse_kl_check(e, e, 0, schedule)
+
+    def test_t_one_is_infinitely_far(self, schedule, rng):
+        # posterior_var[1] is 0: the reverse transitions are point masses
+        eps_a, eps_b = rng.normal(size=(2, 16, 4))
+        with np.errstate(divide="ignore"):
+            assert reverse_kl_check(eps_a, eps_b, 1, schedule) == np.inf
+
     def test_zero_for_equal_predictions(self, schedule, rng):
         rng.normal(size=(16, 4))  # unused draw: keeps the seeded instances
         e = rng.normal(size=(16, 4))
@@ -247,6 +272,11 @@ class TestControlEnergy:
         preds = random_preds(rng)
         with pytest.raises(ValueError):
             control_energy(preds, np.array([0.1, 0.5, 0.5, 1.0]), 100,
+                           ControlConfig(), schedule)
+
+    def test_omega_length_checked(self, schedule, rng):
+        with pytest.raises(ValueError, match="omega must have length 4"):
+            control_energy(random_preds(rng), np.array([0.0, 0.5, 1.0]), 100,
                            ControlConfig(), schedule)
 
 

@@ -6,7 +6,7 @@ from pathmix import (Condition, FeatureStats, ScenarioError, diversity,
                      dynamics_stats, evaluate, frechet_distance,
                      geometric_features, kinetic_features, sample_clips,
                      standardize)
-from pathmix.metrics import _psd_sqrt
+from pathmix.metrics import psd_sqrt
 
 
 class TestKineticFeatures:
@@ -30,6 +30,12 @@ class TestKineticFeatures:
     def test_too_short_rejected(self, shape):
         with pytest.raises(ScenarioError):
             kinetic_features(np.zeros(shape))
+
+    def test_three_frames_suffice(self):
+        # one second difference is enough
+        clip = (np.arange(3.0) ** 2)[:, None]
+        np.testing.assert_array_equal(kinetic_features(clip),
+                                      [np.sqrt(5.0), 2.0])
 
 
 class TestGeometricFeatures:
@@ -70,6 +76,22 @@ class TestStandardize:
         np.testing.assert_allclose(back, feats, atol=1e-10)
 
 
+class TestFeatureStats:
+    def test_stats_of_known_features(self):
+        feats = np.array([[0.0, 1.0], [2.0, 5.0], [4.0, 3.0]])
+        stats = FeatureStats.from_features(feats)
+        np.testing.assert_array_equal(stats.mean, [2.0, 3.0])
+        np.testing.assert_array_equal(stats.cov, [[4.0, 2.0], [2.0, 4.0]])
+
+    def test_one_dimensional_stats_keep_a_matrix(self):
+        stats = FeatureStats.from_features(np.array([[1.0], [3.0]]))
+        assert stats.cov.shape == (1, 1) and stats.cov[0, 0] == 2.0
+
+    def test_stats_need_two_vectors(self):
+        with pytest.raises(ScenarioError):
+            FeatureStats.from_features(np.ones((1, 3)))
+
+
 class TestFrechetDistance:
     def test_self_distance_zero(self, rng):
         stats = FeatureStats.from_features(rng.normal(size=(100, 8)))
@@ -94,6 +116,14 @@ class TestFrechetDistance:
             expect = (m1 - m2) ** 2 + (s1 - s2) ** 2
             assert abs(frechet_distance(a, b) - expect) <= 1e-10
 
+    def test_negative_past_the_clamp_rejected(self):
+        # psd_sqrt tolerates the eigenvalue -9e-7, but the trace keeps it,
+        # so the distance comes out 9e-7 below zero: past FID_CLAMP
+        a = FeatureStats(np.zeros(1), np.array([[-9e-7]]))
+        b = FeatureStats(np.zeros(1), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="below clamp tolerance"):
+            frechet_distance(a, b)
+
     def test_symmetric(self, rng):
         a = FeatureStats.from_features(rng.normal(size=(80, 6)))
         b = FeatureStats.from_features(rng.normal(loc=0.5, size=(80, 6)))
@@ -109,10 +139,21 @@ class TestFrechetDistance:
         for dim in (2, 5, 10, 20):
             m = rng.normal(size=(dim, dim))
             cov = m @ m.T + 0.05 * np.eye(dim)
-            root = _psd_sqrt(cov)
+            root = psd_sqrt(cov)
             rel = (np.linalg.norm(root @ root - cov, "fro")
                    / np.linalg.norm(cov, "fro"))
             assert rel <= 1e-8
+
+    def test_matrix_sqrt_tolerance_is_relative(self):
+        # an eigenvalue below -PSD_TOL times the largest one (at least 1)
+        # is rejected; one above it is clipped to 0
+        np.testing.assert_array_equal(psd_sqrt(np.diag([0.25, -0.9e-6])),
+                                      np.diag([0.5, 0.0]))
+        np.testing.assert_array_equal(psd_sqrt(np.diag([4e6, -3.0])),
+                                      np.diag([2e3, 0.0]))
+        for diagonal in ([0.25, -1.1e-6], [4e6, -5.0]):
+            with pytest.raises(ValueError, match="not PSD"):
+                psd_sqrt(np.diag(diagonal))
 
     def test_dimension_mismatch_rejected(self, rng):
         a = FeatureStats.from_features(rng.normal(size=(10, 3)))
@@ -137,6 +178,16 @@ class TestDiversity:
         with pytest.raises(ScenarioError):
             diversity(np.ones((1, 3)), 10, 0)
 
+    def test_needs_a_pair(self):
+        with pytest.raises(ScenarioError):
+            diversity(np.ones((4, 3)), 0, 0)
+
+    def test_estimates_the_mean_over_distinct_pairs(self):
+        # every ordered pair of distinct points is equally likely: the mean
+        # of |x_i - x_j| over them is (1 + 10 + 9) / 3
+        feats = np.array([[0.0], [1.0], [10.0]])
+        assert abs(diversity(feats, 20000, 0) - 20.0 / 3.0) < 0.1
+
 
 class TestDynamicsStats:
     def test_constant_clips(self):
@@ -154,6 +205,10 @@ class TestDynamicsStats:
         assert abs(accel_mean - 2.0) < 1e-12
         assert accel_var < 1e-12
         assert jerk_mean < 1e-12
+
+    def test_too_short_rejected(self):
+        with pytest.raises(ScenarioError):
+            dynamics_stats(np.zeros((2, 3, 4)))
 
 
 class TestEvaluate:

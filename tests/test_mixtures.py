@@ -5,7 +5,8 @@ from scipy.special import logsumexp
 from models import scenario_model
 from oracles import domain_log_likelihood, marginal_log_density
 from pathmix import (Condition, ConditionModel, GaussianMixture,
-                     ScenarioError, eps_of_x0, predict_x0, sample_clips)
+                     NumericError, ScenarioError, eps_of_x0, predict_x0,
+                     sample_clips)
 
 
 def single_gaussian_model(S=4, C=2, mean=0.0, variance=1.0):
@@ -50,6 +51,32 @@ class TestConstruction:
         with pytest.raises(ScenarioError):
             GaussianMixture(np.array([1.0]), np.zeros((1, 4, 2)),
                             np.full((1, 4, 2), 1e-9))
+
+    @pytest.mark.parametrize("weights,means,variances,message", [
+        ([[1.0]], (1, 4, 2), (1, 4, 2), "at least one component"),
+        ([], (0, 4, 2), (0, 4, 2), "at least one component"),
+        ([0.5, 0.5 + 2e-12], (2, 4, 2), (2, 4, 2), "sum to 1"),
+        ([1.5, -0.5], (2, 4, 2), (2, 4, 2), "nonnegative"),
+        ([1.0], (1, 4, 2), (1, 4, 3), r"\(M, S, C\)"),
+        ([1.0], (4, 2), (4, 2), r"\(M, S, C\)")],
+        ids=["2d-weights", "no-weights", "sum-off", "negative",
+             "shapes-differ", "no-component-axis"])
+    def test_bad_mixture_rejected(self, weights, means, variances, message):
+        with pytest.raises(ScenarioError, match=message):
+            GaussianMixture(np.array(weights), np.zeros(means),
+                            np.ones(variances))
+
+    def test_weights_within_rounding_of_one_accepted(self):
+        mix = GaussianMixture(np.array([0.5, 0.5 + 0.5e-12]),
+                              np.zeros((2, 4, 2)), np.ones((2, 4, 2)))
+        assert mix.shape == (4, 2)
+
+    def test_mismatched_condition_shapes_rejected(self):
+        def mix(S):
+            return GaussianMixture(np.ones(1), np.zeros((1, S, 2)),
+                                   np.ones((1, S, 2)))
+        with pytest.raises(ScenarioError, match="shapes differ"):
+            ConditionModel(mix(4), mix(6))
 
     def test_null_mixture_is_weighted_union(self):
         model = scenario_model(S=8, C=2, p0=0.3)
@@ -164,8 +191,19 @@ class TestPredictX0:
         with pytest.raises(ValueError):
             predict_x0(model, rng.normal(size=(4, 2)), 0, schedule)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, schedule, bad):
+        x_t = np.zeros((3, 4, 2))
+        x_t[1, 2, 0] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            predict_x0(scenario_model(S=4, C=2), x_t, 10, schedule)
+
 
 class TestSampling:
+    def test_no_draws_rejected(self):
+        with pytest.raises(ScenarioError, match="n must be >= 1"):
+            sample_clips(scenario_model(S=4, C=2), Condition.SOURCE, 0, 0)
+
     def test_monte_carlo_mean(self):
         model = scenario_model(S=16, C=4)
         clips = sample_clips(model, Condition.SOURCE, 1000, 7)

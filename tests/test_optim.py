@@ -49,6 +49,20 @@ class TestEnergyGradient:
         g = energy_gradient(np.zeros(0), preds, 100, ControlConfig(), schedule)
         assert g.shape == (0,)
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_latent_length_checked(self, schedule, rng, length):
+        # a latent of length 1 would broadcast against K-2 = 2 interiors
+        with pytest.raises(ValueError, match="latent must have length 2"):
+            energy_gradient(np.zeros(length), random_preds(rng, K=4), 100,
+                            ControlConfig(), schedule)
+
+    def test_non_finite_gradient_names_step(self, schedule, rng):
+        preds = interior_instance(rng, 4)
+        preds.uncond[1, 3, 0] = np.nan
+        with pytest.raises(NumericError, match=r"gradient at t=100$"):
+            energy_gradient(np.zeros(2), preds, 100, ControlConfig(),
+                            schedule)
+
     @pytest.mark.parametrize("K", [3, 4, 6])
     def test_matches_finite_differences(self, schedule, rng, K):
         cfg = ControlConfig()
@@ -113,6 +127,11 @@ class TestOptimizeMixing:
         np.testing.assert_array_equal(m.omega, [0.0, 1.0])
         assert m.z.shape == (0,)
         assert len(m.step_trace) == OptimizerConfig().J + 1
+
+    def test_initial_latent_length_checked(self, schedule, rng):
+        with pytest.raises(ValueError, match="latent must have length 2"):
+            optimize_mixing(interior_instance(rng, 4), 400, OptimizerConfig(),
+                            ControlConfig(), schedule, z_init=np.zeros(1))
 
     def test_non_finite_energy_names_inner_step(self, schedule, rng):
         preds = interior_instance(rng, 4)
@@ -200,6 +219,13 @@ class TestClosedFormOracle:
         preds = random_preds(rng, K=2)
         with pytest.raises(ScenarioError):
             closed_form_oracle(preds, 100, ControlConfig(), schedule)
+
+    def test_singular_system_rejected(self, schedule, rng):
+        # source equal to target: omega moves nothing, the system is zero
+        x = rng.normal(size=(4, 16, 4))
+        preds = SegmentPredictions(x, x.copy(), rng.normal(size=x.shape))
+        with pytest.raises(NumericError, match="singular interior system"):
+            closed_form_oracle(preds, 300, ControlConfig(), schedule)
 
     def test_decoupled_case_matches_grid_search(self, schedule, rng):
         # w_T = 0 decouples segments; compare each interior minimizer against

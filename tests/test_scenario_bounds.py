@@ -81,7 +81,7 @@ KEYS = [
     Key("domains.p0", float, 0.0, 1.0, open=True),
     *(Key(f"domains.{c}.{field}", float, least, most)
       for c in ("c0", "c1")
-      for field, least, most in (("cycles", None, None),
+      for field, least, most in (("cycles", -1e20, 1e20),
                                  ("root_drift", -1e20, 1e20),
                                  ("variance", 1e-8, 1e40))),
     Key(component("weight"), float, 0.0, 1e20),

@@ -9,6 +9,7 @@ import pytest
 from pathmix import (ControlConfig, OptimizerConfig, ScenarioError,
                      baseline_sample, evaluate, load_scenario, sample_clips,
                      scenario_from_dict)
+from pathmix.metrics import EvalReport
 from pathmix.mixtures import Condition
 from pathmix.scenario import export_comparison_table, write_run
 
@@ -37,6 +38,21 @@ class TestScenarioLoading:
         path = tmp_path / "bad.json"
         path.write_text("{\n  broken\n}")
         with pytest.raises(ScenarioError, match="line 2"):
+            load_scenario(path)
+
+    def test_path_given_as_text(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text("{}")
+        assert (load_scenario(str(path)).fingerprint
+                == scenario_from_dict({}).fingerprint)
+
+    def test_size_too_long_to_print_rejected(self, tmp_path):
+        # a 4001-digit K parses, but (K-1)*K*S*C is past the digits Python
+        # prints, so the size bound's message raises a plain ValueError,
+        # which the loader turns into a ScenarioError
+        path = tmp_path / "s.json"
+        path.write_text('{"layout": {"K": 1' + "0" * 4000 + "}}")
+        with pytest.raises(ScenarioError):
             load_scenario(path)
 
     def test_unknown_keys_rejected(self):
@@ -255,3 +271,20 @@ class TestComparisonTable:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ScenarioError):
             export_comparison_table({}, tmp_path / "x.csv")
+
+    def test_other_names_follow_in_sorted_order(self, tmp_path):
+        report = EvalReport(*[0.0] * 8, 2, 2)
+        path = export_comparison_table(
+            {"zeta": report, "mdpa": report, "alpha": report},
+            tmp_path / "t.csv")
+        assert [line.split(",")[0] for line in
+                path.read_text().splitlines()] == ["method", "mdpa", "alpha",
+                                                   "zeta"]
+
+    def test_path_given_as_text(self, tmp_path):
+        report = EvalReport(*[0.0] * 8, 2, 2)
+        path = export_comparison_table({"mdpa": report},
+                                       str(tmp_path / "new" / "t.csv"))
+        assert path == tmp_path / "new" / "t.csv"
+        assert path.read_text().splitlines()[1] == "mdpa" + ",0" * 8 + ",2,2"
+

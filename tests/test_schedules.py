@@ -4,7 +4,8 @@ import pytest
 from pathmix import (ScenarioError, build_cosine_schedule, ddim_step,
                      eps_of_x0, forward_diffuse, select_ddim_timesteps,
                      tweedie_x0)
-from pathmix.schedules import ALPHA_BAR_FLOOR, BETA_MAX, BETA_MIN, COSINE_OFFSET
+from pathmix.schedules import (ALPHA_BAR_FLOOR, BETA_MAX, BETA_MIN,
+                               COSINE_OFFSET, NoiseSchedule, TimestepPlan)
 
 
 def raw_cosine_alpha_bar(t, T):
@@ -22,6 +23,10 @@ class TestCosineSchedule:
         assert raw_cosine_alpha_bar(1000, 1000) <= 1e-4
         assert build_cosine_schedule(1000).alpha_bar[1000] >= ALPHA_BAR_FLOOR
 
+    @pytest.mark.parametrize("T", [51, 999])
+    def test_floor_holds_for_odd_lengths(self, T):
+        assert build_cosine_schedule(T).alpha_bar[T] >= ALPHA_BAR_FLOOR
+
     def test_matches_raw_curve_away_from_floor(self, schedule):
         t = np.arange(1, 900)
         raw = raw_cosine_alpha_bar(t.astype(float), 1000)
@@ -38,6 +43,11 @@ class TestCosineSchedule:
         assert np.all(sch.beta[1:] >= BETA_MIN)
         assert np.all(sch.beta[1:] <= BETA_MAX)
 
+    def test_last_beta_clipped_short_of_one(self):
+        # at T = 10 the raw cosine curve's last beta is ~1; it is clipped to
+        # 0.999 as in the improved-DDPM schedule, above the floor's cap
+        assert build_cosine_schedule(10).beta[10] == 0.999
+
     def test_posterior_var_formula(self, schedule):
         t = np.arange(1, 1001)
         expect = (schedule.beta[t] * (1.0 - schedule.alpha_bar[t - 1])
@@ -48,8 +58,34 @@ class TestCosineSchedule:
         with pytest.raises(ScenarioError):
             build_cosine_schedule(1)
 
+    @pytest.mark.parametrize("table,index,value,message", [
+        ("alpha_bar", None, None, "length T\\+1"),
+        ("alpha_bar", 0, 0.99, "exactly 1"),
+        ("alpha_bar", 3, "previous", "strictly decreasing"),
+        ("alpha_bar", 4, -np.inf, "finite"),
+        ("beta", 2, np.inf, "finite"),
+        ("posterior_var", 2, np.nan, "finite")],
+        ids=["short", "start", "flat", "inf-alpha", "inf-beta", "nan-var"])
+    def test_bad_tables_rejected(self, table, index, value, message):
+        sch = build_cosine_schedule(4)
+        tables = {name: getattr(sch, name).copy()
+                  for name in ("alpha_bar", "beta", "posterior_var")}
+        if index is None:
+            tables[table] = tables[table][:-1]
+        else:
+            tables[table][index] = (tables[table][index - 1]
+                                    if value == "previous" else value)
+        with pytest.raises(ScenarioError, match=message):
+            NoiseSchedule(4, **tables)
+
 
 class TestTimestepPlan:
+    @pytest.mark.parametrize("steps", [[4, 2, 1], [4, 2, 2, 0], [0, 2, 4]],
+                             ids=["no-zero", "flat", "increasing"])
+    def test_bad_plan_rejected(self, steps):
+        with pytest.raises(ScenarioError, match="decrease strictly to 0"):
+            TimestepPlan(np.array(steps))
+
     def test_default_plan_shape(self, plan):
         assert len(plan.steps) == 51
         assert plan.steps[0] == 1000
@@ -82,8 +118,19 @@ class TestTimestepPlan:
         with pytest.raises(ScenarioError):
             select_ddim_timesteps(sch, 11)
 
+    @pytest.mark.parametrize("N", [-1, 0, 11])
+    def test_n_outside_one_to_t_named(self, N):
+        with pytest.raises(ScenarioError, match="need 1 <= N <= T"):
+            select_ddim_timesteps(build_cosine_schedule(10), N)
+
 
 class TestForwardDiffuse:
+    @pytest.mark.parametrize("t", [-1, 1001])
+    def test_timestep_outside_schedule_rejected(self, schedule, t):
+        x = np.zeros((16, 4))
+        with pytest.raises(ValueError, match=f"timestep {t} outside"):
+            forward_diffuse(x, t, x, schedule)
+
     def test_t_zero_identity(self, schedule, rng):
         x0 = rng.normal(size=(16, 4))
         out = forward_diffuse(x0, 0, rng.normal(size=(16, 4)), schedule)
@@ -105,8 +152,19 @@ class TestForwardDiffuse:
         with pytest.raises(ValueError):
             forward_diffuse(np.zeros((4, 4)), 1, np.zeros((4, 3)), schedule)
 
+    def test_broadcastable_noise_rejected(self, schedule):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            forward_diffuse(np.zeros((4, 4)), 1, np.zeros(4), schedule)
+
 
 class TestTweedieRoundTrips:
+    @pytest.mark.parametrize("t", [-1, 1001])
+    def test_timestep_outside_schedule_rejected(self, schedule, t):
+        x = np.zeros((16, 4))
+        for invert in (tweedie_x0, eps_of_x0):
+            with pytest.raises(ValueError, match=f"timestep {t} outside"):
+                invert(x, x, t, schedule)
+
     def test_recovers_x0_from_true_noise(self, schedule, rng):
         for t in (1, 137, 500, 999, 1000):
             x0 = rng.normal(size=(16, 4))
@@ -136,6 +194,13 @@ class TestTweedieRoundTrips:
         with pytest.raises(ValueError, match="t=0"):
             eps_of_x0(x_t, x_t, 0, schedule)
 
+    def test_t_zero_returns_a_copy_bit_for_bit(self, schedule):
+        # x_t - 0.0 * eps would turn -0.0 into 0.0 where eps is negative
+        x_t = np.array([[-0.0, 1.0]])
+        out = tweedie_x0(x_t, np.array([[-1.0, 2.0]]), 0, schedule)
+        assert out is not x_t
+        assert np.array_equal(out, x_t) and np.signbit(out[0, 0])
+
     def test_eps_of_x0_is_affine(self, schedule, rng):
         x_t = rng.normal(size=(16, 4))
         a, b = rng.normal(size=(2, 16, 4))
@@ -164,6 +229,11 @@ class TestDdimStep:
         x = rng.normal(size=(16, 4))
         with pytest.raises(ValueError):
             ddim_step(x, x, 100, 100, schedule)
+
+    def test_target_before_zero_rejected(self, schedule, rng):
+        x = rng.normal(size=(16, 4))
+        with pytest.raises(ValueError, match="timestep -1 outside"):
+            ddim_step(x, x, 100, -1, schedule)
 
     def test_deterministic(self, schedule, rng):
         x_t = rng.normal(size=(16, 4))

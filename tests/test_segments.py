@@ -72,8 +72,28 @@ class TestAlignRoot:
         with pytest.raises(ScenarioError):
             align_root(rng.normal(size=(2, 4, 2)), 5)
 
+    @pytest.mark.parametrize("root", [-1, 2, 3])
+    def test_channel_past_the_last_rejected(self, rng, root):
+        # S = 4 frames of C = 2 channels: channels 2 and 3 are frames only
+        with pytest.raises(ScenarioError, match=f"root channel {root}"):
+            align_root(rng.normal(size=(2, 4, 2)), root)
+
+    @pytest.mark.parametrize("shape,error", [((4, 2), ValueError),
+                                             ((2, 5, 2), ScenarioError)],
+                             ids=["no-segment-axis", "odd-length"])
+    def test_bad_stack_rejected(self, shape, error):
+        with pytest.raises(error):
+            align_root(np.zeros(shape))
+
 
 class TestAssembleCrossfade:
+    @pytest.mark.parametrize("shape,error", [((4, 2), ValueError),
+                                             ((2, 5, 2), ScenarioError)],
+                             ids=["no-segment-axis", "odd-length"])
+    def test_bad_stack_rejected(self, shape, error):
+        with pytest.raises(error):
+            assemble_crossfade(np.zeros(shape))
+
     def test_single_segment_identity(self, rng):
         x = rng.normal(size=(1, 16, 4))
         np.testing.assert_array_equal(assemble_crossfade(x), x[0])
@@ -111,6 +131,11 @@ class TestSliceWindows:
         assert len(wins) == 4
         for i, w in enumerate(wins):
             np.testing.assert_array_equal(w, seq[8 * i:8 * i + 16])
+
+    def test_single_frame_windows(self):
+        seq = np.arange(3.0)[:, None]
+        assert [w.tolist() for w in slice_windows(seq, 1, 1)] == [
+            [[0.0]], [[1.0]], [[2.0]]]
 
     def test_invalid_stride_rejected(self, rng):
         with pytest.raises(ScenarioError):

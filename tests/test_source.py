@@ -32,13 +32,16 @@ def unused_imports(source: str) -> list[str]:
 
 def private_imports(source: str) -> list[str]:
     """The dotted names a module imports from ``pathmix`` that have a
-    ``_``-prefixed part, sorted."""
+    ``_``-prefixed part, sorted; a relative import is one of ``pathmix``."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # a module of the package, or the package
+                module = f"pathmix.{module}".rstrip(".")
+            names = [f"{module}.{a.name}" for a in node.names]
         else:
             continue
         found.update(name for name in names
@@ -111,10 +114,13 @@ def test_scan_finds_private_imports():
               "from pathmix import predict_x0\n"
               "from pathmix.mixtures import _known, logsumexp\n"
               "from other import _private\n"
+              "from .scenario import _write_csv, write_run\n"
+              "from . import _module, errors\n"
               "def f():\n    from pathmix.optim import _interior_basis\n")
-    assert private_imports(source) == ["pathmix._hidden",
+    assert private_imports(source) == ["pathmix._hidden", "pathmix._module",
                                        "pathmix.mixtures._known",
-                                       "pathmix.optim._interior_basis"]
+                                       "pathmix.optim._interior_basis",
+                                       "pathmix.scenario._write_csv"]
 
 
 def test_scan_finds_raised_names():
@@ -154,6 +160,12 @@ def test_library_modules_found():
 def test_oracles_import_no_private_name():
     # an oracle that reuses the library's private code checks nothing
     assert private_imports(ORACLES.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_imports_no_private_name(path):
+    # what one module needs of another is part of that module's interface
+    assert private_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
