@@ -263,3 +263,10 @@ class TestEvaluate:
     def test_empty_sets_rejected(self, rng):
         with pytest.raises(ScenarioError):
             evaluate(np.zeros((0, 16, 4)), np.zeros((5, 16, 4)), 10, 0)
+
+    def test_clip_sets_given_as_lists(self):
+        model = scenario_model(S=16, C=4)
+        gen = sample_clips(model, Condition.SOURCE, 20, 8)
+        gt = sample_clips(model, Condition.TARGET, 30, 9)
+        assert (evaluate(list(gen), list(gt), 50, 1)
+                == evaluate(gen, gt, 50, 1))

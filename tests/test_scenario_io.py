@@ -287,4 +287,3 @@ class TestComparisonTable:
                                        str(tmp_path / "new" / "t.csv"))
         assert path == tmp_path / "new" / "t.csv"
         assert path.read_text().splitlines()[1] == "mdpa" + ",0" * 8 + ",2,2"
-
