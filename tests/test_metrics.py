@@ -261,8 +261,11 @@ class TestEvaluate:
         assert abs(report.div_kinetic - direct) < 1e-12
 
     def test_empty_sets_rejected(self, rng):
-        with pytest.raises(ScenarioError):
-            evaluate(np.zeros((0, 16, 4)), np.zeros((5, 16, 4)), 10, 0)
+        # an empty ground-truth set would warn in its feature means first
+        for n_gen, n_gt in ((0, 5), (5, 0)):
+            with pytest.raises(ScenarioError, match="must be non-empty"):
+                evaluate(np.zeros((n_gen, 16, 4)), np.zeros((n_gt, 16, 4)),
+                         10, 0)
 
     def test_clip_sets_given_as_lists(self):
         model = scenario_model(S=16, C=4)
