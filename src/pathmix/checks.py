@@ -25,9 +25,12 @@ from .segments import hard_stitch_project
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     error: float
     threshold: float
+
+    @property
+    def passed(self) -> bool:
+        return self.error <= self.threshold
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -54,7 +57,7 @@ def check_schedule_identity() -> CheckResult:
     rebuilt = schedule.alpha_bar[:-1] * (1.0 - schedule.beta[1:])
     err = float(np.max(np.abs(rebuilt - schedule.alpha_bar[1:])
                        / schedule.alpha_bar[1:]))
-    return CheckResult("schedule-identity", err <= 1e-12, err, 1e-12)
+    return CheckResult("schedule-identity", err, 1e-12)
 
 
 def check_tweedie_roundtrip() -> CheckResult:
@@ -69,7 +72,7 @@ def check_tweedie_roundtrip() -> CheckResult:
         eps_back = eps_of_x0(x_t, x0_back, int(t), schedule)
         err = max(err, float(np.max(np.abs(x0_back - x0))),
                   float(np.max(np.abs(eps_back - eps))))
-    return CheckResult("tweedie-roundtrip", err <= 1e-12, err, 1e-12)
+    return CheckResult("tweedie-roundtrip", err, 1e-12)
 
 
 def check_kl_proportionality() -> CheckResult:
@@ -89,7 +92,7 @@ def check_kl_proportionality() -> CheckResult:
             eps_b = eps_of_x0(x_t, uncond, t, schedule)
             kl = reverse_kl_check(eps_a, eps_b, t, schedule)
             err = max(err, abs(lhs - kl) / max(abs(kl), 1e-300))
-    return CheckResult("kl-proportionality", err <= 1e-10, err, 1e-10)
+    return CheckResult("kl-proportionality", err, 1e-10)
 
 
 def check_gradient_fd() -> CheckResult:
@@ -110,7 +113,7 @@ def check_gradient_fd() -> CheckResult:
             fd = (ep - em) / (2.0 * h)
             err = max(err, np.max(np.abs(grad - fd)
                                   / np.maximum(np.abs(fd), 1.0)))
-    return CheckResult("gradient-finite-difference", err < 1e-5, err, 1e-5)
+    return CheckResult("gradient-finite-difference", err, 1e-5)
 
 
 def check_oracle_convergence() -> CheckResult:
@@ -131,7 +134,7 @@ def check_oracle_convergence() -> CheckResult:
         e_opt = control_energy(preds, mix.omega, t, cfg, schedule).total
         err = max(err, (e_opt - e_star) / max(abs(e_star), 1e-300))
         done += 1
-    return CheckResult("oracle-convergence", err <= 1e-6, err, 1e-6)
+    return CheckResult("oracle-convergence", err, 1e-6)
 
 
 def check_stitch_idempotence() -> CheckResult:
@@ -141,7 +144,7 @@ def check_stitch_idempotence() -> CheckResult:
     twice = hard_stitch_project(once)
     exact = (np.array_equal(once, twice)
              and np.array_equal(once[1:, :8], once[:-1, 8:]))
-    return CheckResult("stitch-idempotence", exact, 0.0 if exact else 1.0, 0.0)
+    return CheckResult("stitch-idempotence", 0.0 if exact else 1.0, 0.0)
 
 
 def check_frechet_closed_form() -> CheckResult:
@@ -167,7 +170,7 @@ def check_frechet_closed_form() -> CheckResult:
     feats = rng.normal(size=(50, 6))
     stats = FeatureStats.from_features(feats)
     err = max(err, abs(frechet_distance(stats, stats)))
-    return CheckResult("frechet-closed-form", err <= 1e-8, err, 1e-8)
+    return CheckResult("frechet-closed-form", err, 1e-8)
 
 
 def check_energy_additivity() -> CheckResult:
@@ -182,21 +185,16 @@ def check_energy_additivity() -> CheckResult:
         e = control_energy(preds, omega, t, cfg, schedule)
         err = max(err, abs(e.transient + e.terminal - e.total),
                   abs(e.per_segment_transient.sum() - e.transient))
-    return CheckResult("energy-additivity", err <= 1e-12, err, 1e-12)
+    return CheckResult("energy-additivity", err, 1e-12)
 
 
 def run_check() -> int:
     """Run every check, print one line each, return 0 iff all pass."""
-    results = [
-        check_schedule_identity(),
-        check_tweedie_roundtrip(),
-        check_kl_proportionality(),
-        check_gradient_fd(),
-        check_oracle_convergence(),
-        check_stitch_idempotence(),
-        check_frechet_closed_form(),
-        check_energy_additivity(),
-    ]
+    results = [check() for check in (
+        check_schedule_identity, check_tweedie_roundtrip,
+        check_kl_proportionality, check_gradient_fd, check_oracle_convergence,
+        check_stitch_idempotence, check_frechet_closed_form,
+        check_energy_additivity)]
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]

@@ -27,6 +27,7 @@ class FeatureStats:
 
     @classmethod
     def from_features(cls, features: np.ndarray) -> "FeatureStats":
+        features = np.atleast_2d(features)
         if len(features) < 2:
             raise ScenarioError("need at least 2 feature vectors")
         mean = features.mean(axis=0)
@@ -51,6 +52,7 @@ class EvalReport:
 
 def kinetic_features(clips: np.ndarray) -> np.ndarray:
     """Per-channel RMS first and second finite differences, length 2C."""
+    clips = np.asarray(clips)
     if clips.shape[-2] < 3:
         raise ScenarioError("kinetic features need at least 3 frames")
     vel = np.diff(clips, axis=-2)
@@ -62,6 +64,7 @@ def kinetic_features(clips: np.ndarray) -> np.ndarray:
 def geometric_features(clips: np.ndarray) -> np.ndarray:
     """Per-channel temporal means plus mean absolute pairwise channel
     differences over pairs i < j, length C + C(C-1)/2 per clip."""
+    clips = np.asarray(clips)
     C = clips.shape[-1]
     if C < 2:
         raise ScenarioError("geometric features need at least 2 channels")
@@ -86,6 +89,8 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def frechet_distance(a: FeatureStats, b: FeatureStats) -> float:
     """||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a^1/2 S_b S_a^1/2)^1/2)."""
+    if a.mean.shape != b.mean.shape:
+        raise ValueError("feature dimensions differ")
     # Tr((S_a^1/2 S_b S_a^1/2)^1/2) equals the nuclear norm of
     # S_a^1/2 S_b^1/2; singular values are nonnegative by construction, which
     # avoids the sign noise of eigendecomposing the near-singular product.
@@ -100,6 +105,7 @@ def frechet_distance(a: FeatureStats, b: FeatureStats) -> float:
 
 def diversity(features: np.ndarray, n_pairs: int, rng_seed: int) -> float:
     """Mean Euclidean distance over randomly sampled distinct index pairs."""
+    features = np.atleast_2d(features)
     if len(features) < 2:
         raise ScenarioError("diversity needs at least 2 feature vectors")
     if n_pairs < 1:
@@ -114,6 +120,7 @@ def diversity(features: np.ndarray, n_pairs: int, rng_seed: int) -> float:
 
 def dynamics_stats(clips: np.ndarray) -> tuple[float, float, float, float]:
     """Pooled acceleration/jerk magnitude statistics over all clips."""
+    clips = np.asarray(clips)
     if clips.shape[-2] < 4:
         raise ScenarioError("dynamics stats need at least 4 frames")
     accel = np.abs(np.diff(clips, n=2, axis=-2)).ravel()

@@ -74,6 +74,7 @@ def build_cosine_schedule(T: int) -> NoiseSchedule:
     """
     if not isinstance(T, (int, np.integer)) or T < 2:
         raise ScenarioError(f"T must be an integer >= 2, got {T!r}")
+    T = int(T)
     t = np.arange(T + 1, dtype=np.float64)
     f = np.cos(((t / T + COSINE_OFFSET) / (1.0 + COSINE_OFFSET)) * np.pi / 2.0) ** 2
     raw_alpha_bar = f / f[0]

@@ -17,6 +17,16 @@ from pathmix.sampling import baseline_sample
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def run_single_threaded(script: str, *args: str) -> str:
+    """stdout of ``python -c script *args`` run on ``src`` in a new process
+    whose BLAS uses one thread, as the recorded results were made."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
 @pytest.fixture(scope="module")
 def fast_scenario_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("scenario") / "fast.json"
@@ -472,9 +482,11 @@ class TestCheck:
         assert main(["check"]) == 0
 
     # (function, name, error, threshold) of every check, recorded with
-    # numpy 2.4.6 on x86-64; a different libm or LAPACK may move the last
-    # digits of an error.  The checks take no input, so these results and
-    # the lines printed of them are all that a change to one can alter.
+    # numpy 2.4.6 and its bundled OpenBLAS on x86-64, one BLAS thread; the
+    # errors hold for that environment to a few ulps, and another libm or
+    # LAPACK may move them further.  The checks take no input, so these
+    # results and the lines printed of them are all that a change to one
+    # can alter.
     RESULTS = [
         ("schedule_identity", "schedule-identity", 0.0, 1e-12),
         ("tweedie_roundtrip", "tweedie-roundtrip", 2.4980018054066022e-14,
@@ -490,14 +502,25 @@ class TestCheck:
         ("energy_additivity", "energy-additivity", 0.0, 1e-12),
     ]
 
+    @pytest.fixture(scope="class")
+    def results(self):
+        return json.loads(run_single_threaded(
+            "import json, sys, pathmix.checks as c\n"
+            "runs = {f: getattr(c, f'check_{f}')() for f in sys.argv[1:]}\n"
+            "print(json.dumps({f: [r.name, bool(r.passed), r.error,\n"
+            "                      r.threshold] for f, r in runs.items()}))",
+            *(r[0] for r in self.RESULTS)))
+
     @pytest.mark.parametrize("function,name,error,threshold", RESULTS,
                              ids=[r[0] for r in RESULTS])
-    def test_result_recorded(self, function, name, error, threshold):
-        result = getattr(pathmix.checks, f"check_{function}")()
-        assert (result.name, result.passed, result.error,
-                result.threshold) == (name, True, error, threshold)
+    def test_result_recorded(self, results, function, name, error,
+                             threshold):
+        got_name, passed, got_error, got_threshold = results[function]
+        assert (got_name, passed, got_threshold) == (name, True, threshold)
+        assert abs(got_error - error) <= 4 * np.spacing(error)
 
     def test_output_recorded(self, capsys):
+        # three digits of each error: a move of a few ulps leaves the text
         assert run_check() == 0
         assert capsys.readouterr().out == "".join(
             f"[PASS] {name}: error {error:.3e} (threshold {threshold:.1e})\n"
@@ -507,8 +530,10 @@ class TestCheck:
 
 class TestRecordedOutputs:
     """What each command writes and prints on the fast scenario: each file
-    as the first 16 hex digits of its SHA-256, recorded with numpy 2.4.6 on
-    x86-64 (a different libm or BLAS may move the last digits of a value).
+    as the first 16 hex digits of its SHA-256, recorded with numpy 2.4.6 and
+    its bundled OpenBLAS on x86-64, one BLAS thread, and valid for that
+    environment only (another libm or BLAS may move the last digits of a
+    value).  The commands run in one process whose BLAS uses one thread.
     Criterion 10 compares two runs of one tree; these compare with the
     recording, so that a change to any value a command writes shows."""
 
@@ -541,23 +566,37 @@ class TestRecordedOutputs:
             "w_T_2/omega.csv": "ae4fea6648c1c878"}),
     }
 
-    @pytest.mark.parametrize("label", COMMANDS)
-    def test_files_and_line_recorded(self, fast_scenario_path, tmp_path,
-                                     capsys, label):
-        argv, line, files = self.COMMANDS[label]
-        assert main([*argv, "--scenario", str(fast_scenario_path),
-                     "--out", str(tmp_path)]) == 0
-        assert {name: hashlib.sha256((tmp_path / name).read_bytes())
-                .hexdigest()[:16] for name in files} == files
-        values = (json.loads((tmp_path / "metrics.json").read_text())
-                  if label == "evaluate" else {})
-        assert capsys.readouterr().out == line.format(out=tmp_path,
-                                                      **values) + "\n"
+    @pytest.fixture(scope="class")
+    def runs(self, fast_scenario_path, tmp_path_factory):
+        """{label: (out dir, exit code, stdout)} of every command."""
+        outs = {label: tmp_path_factory.mktemp(label)
+                for label in self.COMMANDS}
+        argv = {label: [*self.COMMANDS[label][0], "--scenario",
+                        str(fast_scenario_path), "--out", str(outs[label])]
+                for label in self.COMMANDS}
+        done = json.loads(run_single_threaded(
+            "import contextlib, io, json, sys\n"
+            "from pathmix.cli import main\n"
+            "runs = {}\n"
+            "for label, argv in json.loads(sys.argv[1]).items():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        runs[label] = [main(argv), out.getvalue()]\n"
+            "print(json.dumps(runs))", json.dumps(argv)))
+        return {label: (outs[label], *done[label]) for label in outs}
 
-    def test_manifest_recorded(self, fast_scenario_path, tmp_path):
-        assert main(["generate", "--scenario", str(fast_scenario_path),
-                     "--out", str(tmp_path)]) == 0
-        text = (tmp_path / "manifest.json").read_text()
+    @pytest.mark.parametrize("label", COMMANDS)
+    def test_files_and_line_recorded(self, runs, label):
+        _, line, files = self.COMMANDS[label]
+        out, code, stdout = runs[label]
+        assert code == 0
+        assert {name: hashlib.sha256((out / name).read_bytes())
+                .hexdigest()[:16] for name in files} == files
+        values = (json.loads((out / "metrics.json").read_text())
+                  if label == "evaluate" else {})
+        assert stdout == line.format(out=out, **values) + "\n"
+
+    def test_manifest_recorded(self, runs):
+        text = (runs["generate-mdpa"][0] / "manifest.json").read_text()
         manifest = json.loads(text)
         assert text == json.dumps(manifest, indent=2) + "\n"
         assert sorted(manifest) == ["created_at", "fingerprint", "seed",

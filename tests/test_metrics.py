@@ -57,6 +57,13 @@ class TestGeometricFeatures:
             geometric_features(np.zeros(shape))
 
 
+@pytest.mark.parametrize("features", [kinetic_features, geometric_features,
+                                      dynamics_stats])
+def test_clips_given_as_a_list(features, rng):
+    clips = rng.normal(size=(3, 8, 4))
+    np.testing.assert_array_equal(features(clips.tolist()), features(clips))
+
+
 class TestStandardize:
     def test_self_standardization(self, rng):
         feats = rng.normal(loc=3.0, scale=2.0, size=(200, 6))
@@ -90,6 +97,16 @@ class TestFeatureStats:
     def test_stats_need_two_vectors(self):
         with pytest.raises(ScenarioError):
             FeatureStats.from_features(np.ones((1, 3)))
+
+    def test_one_dimensional_array_is_one_vector(self):
+        # a 1-D array is one feature vector, not n one-dimensional ones
+        with pytest.raises(ScenarioError, match="at least 2 feature vectors"):
+            FeatureStats.from_features(np.arange(5.0))
+
+    def test_list_of_vectors_accepted(self):
+        feats = [[0.0, 1.0], [2.0, 5.0], [4.0, 3.0]]
+        assert (FeatureStats.from_features(feats).cov.tolist()
+                == [[4.0, 2.0], [2.0, 4.0]])
 
 
 class TestFrechetDistance:
@@ -158,7 +175,7 @@ class TestFrechetDistance:
     def test_dimension_mismatch_rejected(self, rng):
         a = FeatureStats.from_features(rng.normal(size=(10, 3)))
         b = FeatureStats.from_features(rng.normal(size=(10, 4)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="feature dimensions differ"):
             frechet_distance(a, b)
 
 
@@ -177,6 +194,10 @@ class TestDiversity:
     def test_needs_two_points(self):
         with pytest.raises(ScenarioError):
             diversity(np.ones((1, 3)), 10, 0)
+
+    def test_one_dimensional_array_is_one_vector(self):
+        with pytest.raises(ScenarioError, match="at least 2 feature vectors"):
+            diversity(np.arange(5.0), 10, 0)
 
     def test_needs_a_pair(self):
         with pytest.raises(ScenarioError):

@@ -58,6 +58,15 @@ class TestCosineSchedule:
         with pytest.raises(ScenarioError):
             build_cosine_schedule(1)
 
+    @pytest.mark.parametrize("T", [np.int8(127), np.uint8(255)])
+    def test_narrow_integer_T_builds_the_same_tables(self, T):
+        # T + 1 would wrap around in T's own dtype
+        sch, expect = build_cosine_schedule(T), build_cosine_schedule(int(T))
+        assert type(sch.total_steps) is int
+        for name in ("alpha_bar", "beta", "posterior_var"):
+            np.testing.assert_array_equal(getattr(sch, name),
+                                          getattr(expect, name))
+
     @pytest.mark.parametrize("table,index,value,message", [
         ("alpha_bar", None, None, "length T\\+1"),
         ("alpha_bar", 0, 0.99, "exactly 1"),

@@ -31,7 +31,7 @@ Run from the repository root:
 
     python3 tools/mutation_survey.py --list        # the mutants, no runs
     python3 tools/mutation_survey.py --json survey.json
-    python3 tools/mutation_survey.py --modules segments --workers 1
+    python3 tools/mutation_survey.py --modules segments
     python3 tools/mutation_survey.py --rerun survey.json  # its survivors
 
 The exit code is 0 when no survivor is left unresolved.
@@ -61,6 +61,7 @@ KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_6_directional_fid"
 PYTEST = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
           "--hypothesis-seed=0", "--deselect", KNOWN_FAILURE]
 MEMORY_LIMIT = 3 << 30  # bytes of address space per pytest process
+WORKERS = 2  # pytest processes at once
 
 NEGATED = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
            ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot,
@@ -386,10 +387,9 @@ def read_notes(path: Path = NOTES) -> dict[str, str]:
     return notes
 
 
-def survey(rev: str, workers: int, modules=None, keys=None,
-           log=print) -> dict:
+def survey(rev: str, modules=None, keys=None, log=print) -> dict:
     with tempfile.TemporaryDirectory(prefix="mutation-survey-") as base:
-        slots = [Slot(Path(base), i, rev) for i in range(workers)]
+        slots = [Slot(Path(base), i, rev) for i in range(WORKERS)]
         tree = slots[0].tree
         original = {p.stem: p.read_text()
                     for p in (tree / PACKAGE).glob("*.py")}
@@ -436,8 +436,7 @@ def survey(rev: str, workers: int, modules=None, keys=None,
 
         results = _schedule(slots, jobs, original, progress)
     notes = read_notes()
-    report = {"rev": rev, "workers": workers, "modules": {}, "survivors": [],
-              "killed_by": {}}
+    report = {"rev": rev, "modules": {}, "survivors": [], "killed_by": {}}
     for index, mutant in enumerate(made):
         verdict = results[index][0]
         row = report["modules"].setdefault(mutant.module, Counter(made=0))
@@ -468,7 +467,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default="HEAD",
                         help="git revision to survey (default HEAD)")
-    parser.add_argument("--workers", type=int, default=2, choices=(1, 2))
     parser.add_argument("--modules", nargs="+", metavar="NAME",
                         help="survey only these modules of src/pathmix")
     parser.add_argument("--json", type=Path, metavar="PATH",
@@ -489,7 +487,7 @@ def main(argv=None) -> int:
     if args.rerun:
         keys = {s["key"] for s in json.loads(args.rerun.read_text())[
             "survivors"]}
-    report = survey(args.rev, args.workers, args.modules, keys,
+    report = survey(args.rev, args.modules, keys,
                     log=lambda line: print(line, file=sys.stderr, flush=True))
     text = json.dumps(report, indent=2) + "\n"
     if args.json:
