@@ -131,8 +131,6 @@ def dynamics_stats(clips: np.ndarray) -> tuple[float, float, float, float]:
 
 def evaluate(gen_clips, gt_clips, n_pairs: int, rng_seed: int) -> EvalReport:
     """Full metric suite for a generated clip set against ground truth."""
-    gen_clips = np.asarray(gen_clips)
-    gt_clips = np.asarray(gt_clips)
     if len(gen_clips) == 0 or len(gt_clips) == 0:
         raise ScenarioError("both clip sets must be non-empty")
 
