@@ -1,9 +1,8 @@
 """Self-contained verification checks runnable from the command line.
 
-Each check exercises one analytic property of the library (schedule identity,
-estimator round trips, KL proportionality, gradients vs finite differences,
-optimizer vs closed-form oracle, projection idempotence, Frechet closed forms,
-energy additivity) and reports a measured error against a fixed threshold.
+Each check compares the library with an independent closed form (estimator
+round trips, KL proportionality, gradients vs finite differences, Frechet
+closed forms) and reports a measured error against a fixed threshold.
 """
 
 from __future__ import annotations
@@ -15,11 +14,9 @@ import numpy as np
 from .control import (ControlConfig, SegmentPredictions, control_energy,
                       guidance_delta, lambda_weight, reverse_kl_check)
 from .metrics import FeatureStats, frechet_distance, psd_sqrt
-from .optim import (OptimizerConfig, closed_form_oracle, energy_gradient,
-                    omega_of_latent, optimize_mixing)
+from .optim import energy_gradient, omega_of_latent
 from .schedules import (build_cosine_schedule, eps_of_x0, forward_diffuse,
                         tweedie_x0)
-from .segments import hard_stitch_project
 
 
 @dataclass(frozen=True)
@@ -39,9 +36,8 @@ class CheckResult:
 
 
 def _random_instance(rng, K: int):
-    """Random (K, 16, 4) prediction stack whose unconstrained optimum tends to
-    sit in the interior: the unconditional prediction is a perturbed interior
-    blend."""
+    """Random (K, 16, 4) prediction stack: the unconditional prediction is a
+    perturbed interior blend of the source and target."""
     shape = (K, 16, 4)
     source = rng.normal(size=shape)
     target = rng.normal(size=shape)
@@ -50,14 +46,6 @@ def _random_instance(rng, K: int):
               + 0.05 * rng.normal(size=shape))
     rng.normal(size=shape)  # unused draw: keeps the seeded instances
     return SegmentPredictions(source, target, uncond)
-
-
-def check_schedule_identity() -> CheckResult:
-    schedule = build_cosine_schedule(1000)
-    rebuilt = schedule.alpha_bar[:-1] * (1.0 - schedule.beta[1:])
-    err = float(np.max(np.abs(rebuilt - schedule.alpha_bar[1:])
-                       / schedule.alpha_bar[1:]))
-    return CheckResult("schedule-identity", err, 1e-12)
 
 
 def check_tweedie_roundtrip() -> CheckResult:
@@ -116,37 +104,6 @@ def check_gradient_fd() -> CheckResult:
     return CheckResult("gradient-finite-difference", err, 1e-5)
 
 
-def check_oracle_convergence() -> CheckResult:
-    schedule = build_cosine_schedule(1000)
-    cfg = ControlConfig()
-    opt = OptimizerConfig(J=500, lr=0.1)
-    rng = np.random.default_rng(53)
-    err = 0.0
-    done = 0
-    while done < 5:
-        t = int(rng.integers(100, 900))
-        preds = _random_instance(rng, 4)
-        omega_star = closed_form_oracle(preds, t, cfg, schedule)
-        if not np.all((omega_star[1:-1] > 0.05) & (omega_star[1:-1] < 0.95)):
-            continue
-        e_star = control_energy(preds, omega_star, t, cfg, schedule).total
-        mix = optimize_mixing(preds, t, opt, cfg, schedule)
-        e_opt = control_energy(preds, mix.omega, t, cfg, schedule).total
-        err = max(err, (e_opt - e_star) / max(abs(e_star), 1e-300))
-        done += 1
-    return CheckResult("oracle-convergence", err, 1e-6)
-
-
-def check_stitch_idempotence() -> CheckResult:
-    rng = np.random.default_rng(61)
-    x = rng.normal(size=(5, 16, 4))
-    once = hard_stitch_project(x)
-    twice = hard_stitch_project(once)
-    exact = (np.array_equal(once, twice)
-             and np.array_equal(once[1:, :8], once[:-1, 8:]))
-    return CheckResult("stitch-idempotence", 0.0 if exact else 1.0, 0.0)
-
-
 def check_frechet_closed_form() -> CheckResult:
     rng = np.random.default_rng(71)
     err = 0.0
@@ -173,28 +130,11 @@ def check_frechet_closed_form() -> CheckResult:
     return CheckResult("frechet-closed-form", err, 1e-8)
 
 
-def check_energy_additivity() -> CheckResult:
-    schedule = build_cosine_schedule(1000)
-    cfg = ControlConfig()
-    rng = np.random.default_rng(83)
-    err = 0.0
-    for _ in range(10):
-        t = int(rng.integers(1, 1001))
-        preds = _random_instance(rng, 4)
-        omega = np.concatenate([[0.0], rng.uniform(0, 1, size=2), [1.0]])
-        e = control_energy(preds, omega, t, cfg, schedule)
-        err = max(err, abs(e.transient + e.terminal - e.total),
-                  abs(e.per_segment_transient.sum() - e.transient))
-    return CheckResult("energy-additivity", err, 1e-12)
-
-
 def run_check() -> int:
     """Run every check, print one line each, return 0 iff all pass."""
     results = [check() for check in (
-        check_schedule_identity, check_tweedie_roundtrip,
-        check_kl_proportionality, check_gradient_fd, check_oracle_convergence,
-        check_stitch_idempotence, check_frechet_closed_form,
-        check_energy_additivity)]
+        check_tweedie_roundtrip, check_kl_proportionality, check_gradient_fd,
+        check_frechet_closed_form)]
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]

@@ -132,13 +132,17 @@ def lambda_weight(t: int, schedule: NoiseSchedule, mode: str) -> float:
 def reverse_kl_check(eps_a: np.ndarray, eps_b: np.ndarray, t: int,
                      schedule: NoiseSchedule) -> float:
     """Exact KL between the Gaussian reverse transitions induced by two noise
-    predictions (shared posterior variance): ||mu_a - mu_b||^2 / (2 var)."""
+    predictions (shared posterior variance): ||mu_a - mu_b||^2 / (2 var).
+
+    At t = 1 the variance is 0: equal predictions are 0 apart and different
+    ones infinitely far."""
     if t < 1:
         raise ValueError("reverse transition undefined at t=0")
     beta = schedule.beta[t]
     coeff = beta / (np.sqrt(1.0 - beta) * np.sqrt(1.0 - schedule.alpha_bar[t]))
     diff = coeff * (eps_a - eps_b)
-    return float(np.sum(diff ** 2) / (2.0 * schedule.posterior_var[t]))
+    sq = np.sum(diff ** 2)
+    return float(sq / (2.0 * schedule.posterior_var[t])) if sq else 0.0
 
 
 def stitch_cost(x0hat_segments: np.ndarray) -> np.ndarray:

@@ -467,7 +467,7 @@ class TestCheck:
     def test_all_checks_pass(self, capsys):
         assert run_check() == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") >= 6
+        assert out.count("[PASS]") == len(self.RESULTS)
         assert "[FAIL]" not in out
 
     def test_lambda_fault_injection_detected(self, monkeypatch):
@@ -488,18 +488,14 @@ class TestCheck:
     # results and the lines printed of them are all that a change to one
     # can alter.
     RESULTS = [
-        ("schedule_identity", "schedule-identity", 0.0, 1e-12),
         ("tweedie_roundtrip", "tweedie-roundtrip", 2.4980018054066022e-14,
          1e-12),
         ("kl_proportionality", "kl-proportionality", 5.016564543803669e-16,
          1e-10),
         ("gradient_fd", "gradient-finite-difference", 2.8612052316132153e-08,
          1e-05),
-        ("oracle_convergence", "oracle-convergence", 0.0, 1e-06),
-        ("stitch_idempotence", "stitch-idempotence", 0.0, 0.0),
         ("frechet_closed_form", "frechet-closed-form", 8.881784197001252e-15,
          1e-08),
-        ("energy_additivity", "energy-additivity", 0.0, 1e-12),
     ]
 
     @pytest.fixture(scope="class")
@@ -525,7 +521,7 @@ class TestCheck:
         assert capsys.readouterr().out == "".join(
             f"[PASS] {name}: error {error:.3e} (threshold {threshold:.1e})\n"
             for _, name, error, threshold in self.RESULTS
-        ) + "8/8 checks passed\n"
+        ) + "4/4 checks passed\n"
 
 
 class TestRecordedOutputs:

@@ -123,7 +123,8 @@ class TestReverseKlCheck:
     def test_zero_for_equal_predictions(self, schedule, rng):
         rng.normal(size=(16, 4))  # unused draw: keeps the seeded instances
         e = rng.normal(size=(16, 4))
-        assert reverse_kl_check(e, e, 100, schedule) == 0.0
+        for t in (1, 100):  # at t = 1 the shared variance is 0
+            assert reverse_kl_check(e, e, t, schedule) == 0.0
 
     def test_quadratic_scaling(self, schedule, rng):
         rng.normal(size=(16, 4))  # unused draw: keeps the seeded instances
